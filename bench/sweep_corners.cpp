@@ -322,7 +322,7 @@ int main() {
   report.results()["warm_cache_hits"] = warm_hits;
   report.results()["warm_cache_misses"] = warm_misses;
   report.results()["warm_charlib_runs"] = warm_charlib_runs;
-  report.results()["sweep"] = sweep::to_json(swept);
+  report.results()["sweep"] = serve::sweep_payload_json(swept);
   (void)warm;
 
   if (swept.failed != 0) {

@@ -105,7 +105,8 @@ Characterizer::Characterizer(device::ModelCard nmos, device::ModelCard pmos,
                              CharOptions options)
     : nmos_(std::move(nmos)),
       pmos_(std::move(pmos)),
-      options_(std::move(options)) {
+      options_(std::move(options)),
+      devices_(nmos_, pmos_, options_.temperature) {
   if (options_.slews.empty() || options_.loads.empty())
     throw std::invalid_argument("Characterizer: empty NLDM grid");
   // Non-positive grid values never made physical sense; now they would
@@ -117,16 +118,6 @@ Characterizer::Characterizer(device::ModelCard nmos, device::ModelCard pmos,
   for (double l : options_.loads)
     if (l <= 0.0)
       throw std::invalid_argument("Characterizer: loads must be positive");
-  // Tabulated currents for the four device variants (polarity x flavor).
-  for (int f = 0; f < 2; ++f) {
-    for (int p = 0; p < 2; ++p) {
-      device::ModelCard card = p == 0 ? nmos_ : pmos_;
-      card.NFIN = 1;
-      if (f == 1) card.PHIG += cells::kSlvtWorkFunctionDelta;
-      caches_[f * 2 + p] = std::make_shared<device::IdsCache>(
-          device::FinFet(card, options_.temperature));
-    }
-  }
 }
 
 spice::Circuit Characterizer::cell_circuit(
@@ -137,18 +128,9 @@ spice::Circuit Characterizer::cell_circuit(
   circuit.add_vsource("vdd", "vdd", "0", spice::Waveform::dc(options_.vdd));
   for (const auto& [pin, wave] : drives)
     circuit.add_vsource("v_" + pin, pin, "0", wave);
-  const int flavor = cell.flavor == cells::VtFlavor::kSlvt ? 1 : 0;
-  for (const auto& t : cell.transistors) {
-    device::ModelCard card =
-        t.polarity == device::Polarity::kNmos ? nmos_ : pmos_;
-    card.NFIN = t.fins;
-    if (flavor == 1) card.PHIG += cells::kSlvtWorkFunctionDelta;
-    device::FinFet fet(card, options_.temperature);
-    fet.set_cache(
-        caches_[flavor * 2 +
-                (t.polarity == device::Polarity::kNmos ? 0 : 1)]);
-    circuit.add_mosfet(t.name, t.drain, t.gate, t.source, fet);
-  }
+  for (const auto& t : cell.transistors)
+    circuit.add_mosfet(t.name, t.drain, t.gate, t.source,
+                       devices_.make_fet(t.polarity, t.fins, cell.flavor));
   if (!load_pin.empty() && load_farads > 0.0)
     circuit.add_capacitor(load_pin, "0", load_farads);
   return circuit;

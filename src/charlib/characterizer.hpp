@@ -22,14 +22,13 @@
 // byte-identical at any thread count.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "cells/celldef.hpp"
+#include "cells/flatten.hpp"
 #include "charlib/library.hpp"
-#include "device/ids_cache.hpp"
 #include "device/modelcard.hpp"
 #include "spice/circuit.hpp"
 
@@ -161,9 +160,9 @@ class Characterizer {
   device::ModelCard nmos_;
   device::ModelCard pmos_;
   CharOptions options_;
-  // Tabulated currents per (polarity, flavor): [n_lvt, p_lvt, n_slvt,
-  // p_slvt]. Built once at construction, shared by all device instances.
-  std::shared_ptr<const device::IdsCache> caches_[4];
+  // Builds every cell device on the four tabulated Ids caches (polarity x
+  // flavor), made once at construction and shared by all instances.
+  cells::NetlistFlattener devices_;
 };
 
 }  // namespace cryo::charlib

@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -117,56 +116,38 @@ Histogram& Registry::histogram(std::string_view name,
   return *slot;
 }
 
-namespace {
-
-std::string number_text(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
-}
-
-}  // namespace
-
-std::string Registry::snapshot_json() const {
+Json Registry::snapshot_json() const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mutex);
-  std::string out = "{\n    \"counters\": {";
-  bool first = true;
-  for (const auto& [name, c] : im.counters) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "      \"" + name + "\": " + std::to_string(c->value());
-  }
-  out += first ? "},\n" : "\n    },\n";
-  out += "    \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : im.gauges) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "      \"" + name + "\": " + number_text(g->value());
-  }
-  out += first ? "},\n" : "\n    },\n";
-  out += "    \"histograms\": {";
-  first = true;
+  Json counters = Json::object();
+  for (const auto& [name, c] : im.counters) counters[name] = c->value();
+  Json gauges = Json::object();
+  for (const auto& [name, g] : im.gauges) gauges[name] = g->value();
+  Json histograms = Json::object();
   for (const auto& [name, h] : im.histograms) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "      \"" + name + "\": {\"count\": " +
-           std::to_string(h->count()) + ", \"sum\": " +
-           number_text(h->sum()) + ", \"max\": " + number_text(h->max_value()) +
-           ", \"p50\": " + number_text(h->quantile(0.5)) +
-           ", \"p95\": " + number_text(h->quantile(0.95)) +
-           ", \"p99\": " + number_text(h->quantile(0.99)) + ", \"buckets\": [";
+    Json j = Json::object();
+    j["count"] = h->count();
+    j["sum"] = h->sum();
+    j["max"] = h->max_value();
+    j["p50"] = h->quantile(0.5);
+    j["p95"] = h->quantile(0.95);
+    j["p99"] = h->quantile(0.99);
+    Json buckets = Json::array();
     for (std::size_t i = 0; i + 1 < h->bucket_count(); ++i) {
-      if (i) out += ", ";
-      out += "{\"le\": " + number_text(h->bound(i)) + ", \"count\": " +
-             std::to_string(h->bucket(i)) + "}";
+      Json bucket = Json::object();
+      bucket["le"] = h->bound(i);
+      bucket["count"] = h->bucket(i);
+      buckets.push_back(std::move(bucket));
     }
-    out += "], \"overflow\": " +
-           std::to_string(h->bucket(h->bucket_count() - 1)) + "}";
+    j["buckets"] = std::move(buckets);
+    j["overflow"] = h->bucket(h->bucket_count() - 1);
+    histograms[name] = std::move(j);
   }
-  out += first ? "}\n  }" : "\n    }\n  }";
-  return out;
+  Json snapshot = Json::object();
+  snapshot["counters"] = std::move(counters);
+  snapshot["gauges"] = std::move(gauges);
+  snapshot["histograms"] = std::move(histograms);
+  return snapshot;
 }
 
 void Registry::reset() {

@@ -28,6 +28,8 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/report.hpp"
+
 namespace cryo::obs {
 
 // Monotonic event count.
@@ -119,7 +121,7 @@ class Registry {
 
   // All instruments as one JSON object, names sorted:
   //   {"counters": {...}, "gauges": {...}, "histograms": {...}}
-  std::string snapshot_json() const;
+  Json snapshot_json() const;
 
   // Zeroes every instrument; registrations (and references) survive.
   void reset();

@@ -1,4 +1,5 @@
-// Unified bench reporter: every bench/ target funnels its headline numbers
+// obs::Json, the one JSON value type of the stack, and the unified bench
+// reporter built on it: every bench/ target funnels its headline numbers
 // through obs::BenchReport so the perf trajectory is machine-readable with
 // ONE schema instead of seventeen ad-hoc printf formats.
 //
@@ -23,35 +24,51 @@
 // that exits early still leaves a report.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
-#include <memory>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace cryo::obs {
 
-// Minimal ordered JSON value: enough to render bench results. Insertion
-// order is preserved so reports diff cleanly between runs.
+// Thrown by Json::parse and the checked accessors. what() is the bare
+// detail: "expected ':', got 'x' at byte 12" for malformed text,
+// "macro.rows: expected an integer in [...]" for a wrong member.
+class JsonError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+// Ordered JSON value: renders bench reports, metric snapshots and the
+// serve wire format, and parses the latter back.
+//  - Objects keep insertion order (duplicate parsed keys too), so reports
+//    diff cleanly and parse(text).dump_line() == text for our own output.
+//  - A number is stored as its text. A double gets its shortest
+//    round-trip form (std::to_chars), so its exact bits survive the
+//    trip; a non-finite double becomes null. An integer gets its decimal
+//    form; a parsed number keeps its token.
+//  - parse() accepts exactly one document (surrounding whitespace
+//    allowed). Malformed text, trailing characters and nesting deeper
+//    than a fixed limit throw JsonError naming the byte offset.
 class Json {
  public:
-  Json() : kind_(Kind::kNull) {}
+  Json() = default;
   Json(bool v) : kind_(Kind::kBool), bool_(v) {}
-  Json(double v) : kind_(Kind::kDouble), num_(v) {}
-  Json(int v) : kind_(Kind::kInt), int_(v) {}
-  Json(long v) : kind_(Kind::kInt), int_(v) {}
-  Json(long long v) : kind_(Kind::kInt), int_(v) {}
-  Json(unsigned v) : kind_(Kind::kInt), int_(v) {}
-  Json(unsigned long v) : kind_(Kind::kInt), int_(static_cast<long long>(v)) {}
-  Json(unsigned long long v)
-      : kind_(Kind::kInt), int_(static_cast<long long>(v)) {}
-  Json(const char* v) : kind_(Kind::kString), str_(v) {}
-  Json(std::string v) : kind_(Kind::kString), str_(std::move(v)) {}
+  Json(double v);
+  template <std::integral T>
+    requires(!std::same_as<T, bool>)
+  Json(T v) : kind_(Kind::kNumber), text_(std::to_string(v)) {}
+  Json(const char* v) : kind_(Kind::kString), text_(v) {}
+  Json(std::string v) : kind_(Kind::kString), text_(std::move(v)) {}
 
   static Json object();
   static Json array();
-  // Embeds pre-rendered JSON text verbatim (e.g. a registry snapshot).
-  static Json raw(std::string text);
+  static Json parse(std::string_view text);
 
   // Object access; inserts a null member on first use. Converts a null
   // value into an object, so report.results()["a"]["b"] = 1 just works.
@@ -59,25 +76,63 @@ class Json {
   // Array append. Converts a null value into an array.
   Json& push_back(Json v);
 
+  bool is_null() const { return kind_ == Kind::kNull; }
+  bool is_object() const { return kind_ == Kind::kObject; }
+  const std::vector<Json>& items() const { return items_; }
+  const std::vector<std::pair<std::string, Json>>& members() const {
+    return members_;
+  }
+
+  // Object member lookup; nullptr when absent or not an object.
+  const Json* find(std::string_view key) const;
+  // Required-member lookup on an object; throws when missing.
+  const Json& at(std::string_view key, std::string_view what) const;
+
+  // Checked accessors: throw JsonError on a kind mismatch, naming `what`
+  // (the field being read).
+  double as_number(std::string_view what) const;  // finite values only
+  // An integer token that fits T exactly: fractions, exponents and
+  // out-of-range values are rejected, never rounded or clamped.
+  template <std::integral T>
+  T as_int(std::string_view what) const;
+  bool as_bool(std::string_view what) const;
+  const std::string& as_string(std::string_view what) const;
+
+  // Indented rendering, nested `indent` levels deep (two spaces each).
   std::string dump(int indent = 0) const;
   // Single-line rendering (no whitespace) for NDJSON streams; same member
-  // order and number formatting as dump().
+  // order and number text as dump().
   std::string dump_line() const;
 
  private:
-  enum class Kind { kNull, kBool, kInt, kDouble, kString, kArray, kObject,
-                    kRaw };
-  void dump_into(std::string& out, int indent) const;
-  void dump_line_into(std::string& out) const;
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  friend class JsonParser;
 
-  Kind kind_;
+  // indent < 0 renders on one line.
+  void render(std::string& out, int indent) const;
+
+  Kind kind_ = Kind::kNull;
   bool bool_ = false;
-  long long int_ = 0;
-  double num_ = 0.0;
-  std::string str_;
+  std::string text_;  // string value, or number text
   std::vector<Json> items_;
   std::vector<std::pair<std::string, Json>> members_;
 };
+
+template <std::integral T>
+T Json::as_int(std::string_view what) const {
+  T v{};
+  if (kind_ == Kind::kNumber) {
+    const char* end = text_.data() + text_.size();
+    const auto [ptr, ec] = std::from_chars(text_.data(), end, v);
+    if (ec == std::errc() && ptr == end) return v;
+  }
+  throw JsonError(std::string(what) + ": expected an integer in [" +
+                  std::to_string(std::numeric_limits<T>::min()) + ", " +
+                  std::to_string(std::numeric_limits<T>::max()) + "]");
+}
+
+// Appends `s` to `out` escaped as the body of a JSON string literal.
+void json_escape_into(std::string& out, std::string_view s);
 
 class BenchReport {
  public:

@@ -10,6 +10,8 @@
 #include <mutex>
 #include <vector>
 
+#include "obs/report.hpp"
+
 namespace cryo::obs {
 namespace {
 
@@ -61,25 +63,6 @@ ThreadBuffer& thread_buffer() {
     return b;
   }();
   return *buf;
-}
-
-void json_escape_into(std::string& out, std::string_view s) {
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
 }
 
 }  // namespace

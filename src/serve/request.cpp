@@ -1,38 +1,34 @@
 #include "serve/request.hpp"
 
-#include <cmath>
-
 #include "core/artifacts.hpp"
 #include "core/error.hpp"
-#include "serve/json.hpp"
 
 namespace cryo::serve {
 namespace {
 
-// Identity-bearing doubles are rendered in shortest round-trip form
-// (std::to_chars), so parse(to_json(x)) reproduces the exact bits and
-// equal corners stay equal through the wire.
-obs::Json jnum(double v) {
-  if (!std::isfinite(v)) return obs::Json::raw("null");
-  return obs::Json::raw(core::corner_detail::shortest(v));
-}
-
-double num_or(const JsonValue& obj, std::string_view key, double fallback,
+double num_or(const obs::Json& obj, std::string_view key, double fallback,
               std::string_view what) {
-  const JsonValue* v = obj.find(key);
+  const obs::Json* v = obj.find(key);
   if (!v || v->is_null()) return fallback;
   return v->as_number(what);
 }
 
-bool bool_or(const JsonValue& obj, std::string_view key, bool fallback,
+bool bool_or(const obs::Json& obj, std::string_view key, bool fallback,
              std::string_view what) {
-  const JsonValue* v = obj.find(key);
+  const obs::Json* v = obj.find(key);
   if (!v) return fallback;
   return v->as_bool(what);
 }
 
-std::string string_or(const JsonValue& obj, std::string_view key) {
-  const JsonValue* v = obj.find(key);
+int int_or(const obs::Json& obj, std::string_view key, int fallback,
+           std::string_view what) {
+  const obs::Json* v = obj.find(key);
+  if (!v || v->is_null()) return fallback;
+  return v->as_int<int>(what);
+}
+
+std::string string_or(const obs::Json& obj, std::string_view key) {
+  const obs::Json* v = obj.find(key);
   if (!v) return "";
   return v->as_string(key);
 }
@@ -41,13 +37,13 @@ std::string string_or(const JsonValue& obj, std::string_view key) {
 
 obs::Json corner_to_json(const core::Corner& corner) {
   obs::Json j = obs::Json::object();
-  j["vdd"] = jnum(corner.vdd);
-  j["temperature_k"] = jnum(corner.temperature);
+  j["vdd"] = corner.vdd;
+  j["temperature_k"] = corner.temperature;
   if (!corner.name.empty()) j["name"] = corner.name;
   return j;
 }
 
-core::Corner corner_from_json(const JsonValue& v) {
+core::Corner corner_from_json(const obs::Json& v) {
   core::Corner corner;
   corner.vdd = v.at("vdd", "corner").as_number("corner.vdd");
   corner.temperature =
@@ -60,15 +56,15 @@ core::Corner corner_from_json(const JsonValue& v) {
 
 obs::Json rate_map_to_json(const std::map<std::string, double>& rates) {
   obs::Json j = obs::Json::object();
-  for (const auto& [key, value] : rates) j[key] = jnum(value);
+  for (const auto& [key, value] : rates) j[key] = value;
   return j;
 }
 
-std::map<std::string, double> rate_map_from_json(const JsonValue* v,
+std::map<std::string, double> rate_map_from_json(const obs::Json* v,
                                                  std::string_view what) {
   std::map<std::string, double> rates;
   if (!v) return rates;
-  for (const auto& [key, value] : v->members)
+  for (const auto& [key, value] : v->members())
     rates[key] = value.as_number(what);
   return rates;
 }
@@ -77,15 +73,15 @@ std::map<std::string, double> rate_map_from_json(const JsonValue* v,
 
 obs::Json profile_to_json(const power::ActivityProfile& profile) {
   obs::Json j = obs::Json::object();
-  j["clock_frequency_hz"] = jnum(profile.clock_frequency);
-  j["default_activity"] = jnum(profile.default_activity);
+  j["clock_frequency_hz"] = profile.clock_frequency;
+  j["default_activity"] = profile.default_activity;
   j["unit_activity"] = rate_map_to_json(profile.unit_activity);
   j["sram_reads_per_cycle"] = rate_map_to_json(profile.sram_reads_per_cycle);
   j["sram_writes_per_cycle"] = rate_map_to_json(profile.sram_writes_per_cycle);
   return j;
 }
 
-power::ActivityProfile profile_from_json(const JsonValue& v) {
+power::ActivityProfile profile_from_json(const obs::Json& v) {
   power::ActivityProfile profile;
   profile.clock_frequency =
       num_or(v, "clock_frequency_hz", profile.clock_frequency, "profile");
@@ -104,7 +100,7 @@ power::ActivityProfile profile_from_json(const JsonValue& v) {
 
 obs::Json activity_to_json(const gatesim::MeasuredActivity& activity) {
   obs::Json j = obs::Json::object();
-  j["clock_frequency_hz"] = jnum(activity.clock_frequency);
+  j["clock_frequency_hz"] = activity.clock_frequency;
   j["cycles"] = activity.cycles;
   j["events"] = activity.events;
   j["glitches"] = activity.glitches;
@@ -120,20 +116,24 @@ obs::Json activity_to_json(const gatesim::MeasuredActivity& activity) {
   return j;
 }
 
-gatesim::MeasuredActivity activity_from_json(const JsonValue& v) {
+gatesim::MeasuredActivity activity_from_json(const obs::Json& v) {
   gatesim::MeasuredActivity activity;
   activity.clock_frequency =
       num_or(v, "clock_frequency_hz", activity.clock_frequency, "activity");
-  activity.cycles = v.at("cycles", "activity").as_uint("activity.cycles");
-  activity.events = v.at("events", "activity").as_uint("activity.events");
+  activity.cycles =
+      v.at("cycles", "activity").as_int<std::uint64_t>("activity.cycles");
+  activity.events =
+      v.at("events", "activity").as_int<std::uint64_t>("activity.events");
   activity.glitches =
-      v.at("glitches", "activity").as_uint("activity.glitches");
-  if (const JsonValue* toggles = v.find("net_toggles"))
-    for (const JsonValue& t : toggles->items)
-      activity.net_toggles.push_back(t.as_uint("activity.net_toggles"));
-  if (const JsonValue* glitches = v.find("net_glitches"))
-    for (const JsonValue& g : glitches->items)
-      activity.net_glitches.push_back(g.as_uint("activity.net_glitches"));
+      v.at("glitches", "activity").as_int<std::uint64_t>("activity.glitches");
+  if (const obs::Json* toggles = v.find("net_toggles"))
+    for (const obs::Json& t : toggles->items())
+      activity.net_toggles.push_back(
+          t.as_int<std::uint64_t>("activity.net_toggles"));
+  if (const obs::Json* glitches = v.find("net_glitches"))
+    for (const obs::Json& g : glitches->items())
+      activity.net_glitches.push_back(
+          g.as_int<std::uint64_t>("activity.net_glitches"));
   activity.sram_reads_per_cycle = rate_map_from_json(
       v.find("sram_reads_per_cycle"), "activity.sram_reads_per_cycle");
   activity.sram_writes_per_cycle = rate_map_from_json(
@@ -150,10 +150,12 @@ obs::Json macro_to_json(const sram::MacroSpec& macro) {
   return j;
 }
 
-sram::MacroSpec macro_from_json(const JsonValue& v) {
+sram::MacroSpec macro_from_json(const obs::Json& v) {
   sram::MacroSpec macro;
-  macro.rows = static_cast<int>(v.at("rows", "macro").as_number("macro.rows"));
-  macro.cols = static_cast<int>(v.at("cols", "macro").as_number("macro.cols"));
+  macro.rows = v.at("rows", "macro").as_int<int>("macro.rows");
+  macro.cols = v.at("cols", "macro").as_int<int>("macro.cols");
+  if (macro.rows < 1 || macro.cols < 1)
+    throw obs::JsonError("macro: rows and cols must be >= 1");
   return macro;
 }
 
@@ -170,24 +172,24 @@ obs::Json sweep_query_to_json(const SweepQuery& query) {
   j["run_leakage"] = query.run_leakage;
   j["run_feasibility"] = query.run_feasibility;
   j["profile"] = profile_to_json(query.profile);
-  j["cooling_budget_w"] = jnum(query.cooling_budget_w);
-  j["deadline_s"] = jnum(query.deadline_s);
-  j["cycles_per_classification"] = jnum(query.cycles_per_classification);
+  j["cooling_budget_w"] = query.cooling_budget_w;
+  j["deadline_s"] = query.deadline_s;
+  j["cycles_per_classification"] = query.cycles_per_classification;
   j["qubits"] = query.qubits;
   j["threads"] = query.threads;
   return j;
 }
 
-SweepQuery sweep_query_from_json(const JsonValue& v) {
+SweepQuery sweep_query_from_json(const obs::Json& v) {
   SweepQuery query;
-  for (const JsonValue& corner : v.at("corners", "sweep").items)
+  for (const obs::Json& corner : v.at("corners", "sweep").items())
     query.corners.push_back(corner_from_json(corner));
   query.run_timing = bool_or(v, "run_timing", query.run_timing, "sweep");
   query.run_power = bool_or(v, "run_power", query.run_power, "sweep");
   query.run_leakage = bool_or(v, "run_leakage", query.run_leakage, "sweep");
   query.run_feasibility =
       bool_or(v, "run_feasibility", query.run_feasibility, "sweep");
-  if (const JsonValue* profile = v.find("profile"))
+  if (const obs::Json* profile = v.find("profile"))
     query.profile = profile_from_json(*profile);
   query.cooling_budget_w =
       num_or(v, "cooling_budget_w", query.cooling_budget_w, "sweep");
@@ -195,10 +197,8 @@ SweepQuery sweep_query_from_json(const JsonValue& v) {
   query.cycles_per_classification = num_or(
       v, "cycles_per_classification", query.cycles_per_classification,
       "sweep");
-  query.qubits =
-      static_cast<int>(num_or(v, "qubits", query.qubits, "sweep"));
-  query.threads =
-      static_cast<int>(num_or(v, "threads", query.threads, "sweep"));
+  query.qubits = int_or(v, "qubits", query.qubits, "sweep.qubits");
+  query.threads = int_or(v, "threads", query.threads, "sweep.threads");
   return query;
 }
 
@@ -206,9 +206,9 @@ SweepQuery sweep_query_from_json(const JsonValue& v) {
 
 obs::Json timing_to_json(const sta::TimingReport& timing) {
   obs::Json j = obs::Json::object();
-  j["critical_delay_s"] = jnum(timing.critical_delay);
-  j["fmax_hz"] = jnum(timing.fmax);
-  j["worst_hold_slack_s"] = jnum(timing.worst_hold_slack);
+  j["critical_delay_s"] = timing.critical_delay;
+  j["fmax_hz"] = timing.fmax;
+  j["worst_hold_slack_s"] = timing.worst_hold_slack;
   j["has_hold_endpoints"] = timing.has_hold_endpoints;
   j["endpoint_count"] = timing.endpoint_count;
   j["critical_endpoint"] = timing.critical_endpoint;
@@ -218,15 +218,15 @@ obs::Json timing_to_json(const sta::TimingReport& timing) {
     s["instance"] = step.instance;
     s["cell"] = step.cell;
     s["through"] = step.through;
-    s["delay_s"] = jnum(step.delay);
-    s["arrival_s"] = jnum(step.arrival);
+    s["delay_s"] = step.delay;
+    s["arrival_s"] = step.arrival;
     path.push_back(std::move(s));
   }
   j["critical_path"] = std::move(path);
   return j;
 }
 
-sta::TimingReport timing_from_json(const JsonValue& v) {
+sta::TimingReport timing_from_json(const obs::Json& v) {
   sta::TimingReport timing;
   timing.critical_delay =
       v.at("critical_delay_s", "timing").as_number("timing.critical_delay_s");
@@ -234,11 +234,11 @@ sta::TimingReport timing_from_json(const JsonValue& v) {
   timing.worst_hold_slack = num_or(v, "worst_hold_slack_s", 0.0, "timing");
   timing.has_hold_endpoints =
       bool_or(v, "has_hold_endpoints", false, "timing");
-  timing.endpoint_count = static_cast<std::size_t>(
-      v.at("endpoint_count", "timing").as_uint("timing.endpoint_count"));
+  timing.endpoint_count = v.at("endpoint_count", "timing")
+                              .as_int<std::size_t>("timing.endpoint_count");
   timing.critical_endpoint = string_or(v, "critical_endpoint");
-  if (const JsonValue* path = v.find("critical_path")) {
-    for (const JsonValue& s : path->items) {
+  if (const obs::Json* path = v.find("critical_path")) {
+    for (const obs::Json& s : path->items()) {
       sta::PathStep step;
       step.instance = string_or(s, "instance");
       step.cell = string_or(s, "cell");
@@ -255,16 +255,16 @@ sta::TimingReport timing_from_json(const JsonValue& v) {
 
 obs::Json power_to_json(const power::PowerReport& power) {
   obs::Json j = obs::Json::object();
-  j["dynamic_logic_w"] = jnum(power.dynamic_logic);
-  j["dynamic_sram_w"] = jnum(power.dynamic_sram);
-  j["dynamic_glitch_w"] = jnum(power.dynamic_glitch);
-  j["leakage_logic_w"] = jnum(power.leakage_logic);
-  j["leakage_sram_w"] = jnum(power.leakage_sram);
-  j["total_w"] = jnum(power.total());
+  j["dynamic_logic_w"] = power.dynamic_logic;
+  j["dynamic_sram_w"] = power.dynamic_sram;
+  j["dynamic_glitch_w"] = power.dynamic_glitch;
+  j["leakage_logic_w"] = power.leakage_logic;
+  j["leakage_sram_w"] = power.leakage_sram;
+  j["total_w"] = power.total();
   return j;
 }
 
-power::PowerReport power_from_json(const JsonValue& v) {
+power::PowerReport power_from_json(const obs::Json& v) {
   power::PowerReport power;
   power.dynamic_logic = num_or(v, "dynamic_logic_w", 0.0, "power");
   power.dynamic_sram = num_or(v, "dynamic_sram_w", 0.0, "power");
@@ -279,18 +279,18 @@ power::PowerReport power_from_json(const JsonValue& v) {
 obs::Json sram_to_json(const SramResult& sram) {
   obs::Json j = obs::Json::object();
   j["macro"] = macro_to_json(sram.macro);
-  j["access_time_s"] = jnum(sram.timing.access_time);
-  j["setup_time_s"] = jnum(sram.timing.setup_time);
-  j["min_cycle_s"] = jnum(sram.timing.min_cycle);
-  j["leakage_w"] = jnum(sram.power.leakage);
-  j["read_energy_j"] = jnum(sram.power.read_energy);
-  j["write_energy_j"] = jnum(sram.power.write_energy);
-  j["leakage_per_bit_w"] = jnum(sram.leakage_per_bit_w);
-  j["reference_gate_delay_s"] = jnum(sram.reference_gate_delay_s);
+  j["access_time_s"] = sram.timing.access_time;
+  j["setup_time_s"] = sram.timing.setup_time;
+  j["min_cycle_s"] = sram.timing.min_cycle;
+  j["leakage_w"] = sram.power.leakage;
+  j["read_energy_j"] = sram.power.read_energy;
+  j["write_energy_j"] = sram.power.write_energy;
+  j["leakage_per_bit_w"] = sram.leakage_per_bit_w;
+  j["reference_gate_delay_s"] = sram.reference_gate_delay_s;
   return j;
 }
 
-SramResult sram_from_json(const JsonValue& v) {
+SramResult sram_from_json(const obs::Json& v) {
   SramResult sram;
   sram.macro = macro_from_json(v.at("macro", "sram"));
   sram.timing.access_time = num_or(v, "access_time_s", 0.0, "sram");
@@ -328,7 +328,7 @@ obs::Json sweep_outcome_to_json(const SweepOutcome& outcome) {
     if (r.timing) c["timing"] = timing_to_json(*r.timing);
     if (r.power) c["power"] = power_to_json(*r.power);
     if (r.library_leakage_w > 0.0)
-      c["library_leakage_w"] = jnum(r.library_leakage_w);
+      c["library_leakage_w"] = r.library_leakage_w;
     if (r.fits_cooling_budget)
       c["fits_cooling_budget"] = *r.fits_cooling_budget;
     if (r.meets_deadline) c["meets_deadline"] = *r.meets_deadline;
@@ -339,63 +339,74 @@ obs::Json sweep_outcome_to_json(const SweepOutcome& outcome) {
   obs::Json curve = obs::Json::array();
   for (const auto& [t, f] : outcome.fmax_vs_temperature) {
     obs::Json pt = obs::Json::object();
-    pt["temperature_k"] = jnum(t);
-    pt["fmax_hz"] = jnum(f);
+    pt["temperature_k"] = t;
+    pt["fmax_hz"] = f;
     curve.push_back(std::move(pt));
   }
   j["fmax_vs_temperature"] = std::move(curve);
   if (outcome.cooling_crossover_k)
-    j["cooling_crossover_k"] = jnum(*outcome.cooling_crossover_k);
+    j["cooling_crossover_k"] = *outcome.cooling_crossover_k;
   j["cooling_verdict"] = cooling_verdict_name(outcome.cooling_verdict);
   return j;
 }
 
-SweepOutcome sweep_outcome_from_json(const JsonValue& v) {
+SweepOutcome sweep_outcome_from_json(const obs::Json& v) {
   SweepOutcome outcome;
-  outcome.failed = static_cast<std::size_t>(
-      v.at("failed", "sweep").as_uint("sweep.failed"));
-  for (const JsonValue& c : v.at("corners", "sweep").items) {
+  outcome.failed = v.at("failed", "sweep").as_int<std::size_t>("sweep.failed");
+  for (const obs::Json& c : v.at("corners", "sweep").items()) {
     SweepCornerResult r;
     r.corner = corner_from_json(c.at("corner", "sweep.corners"));
     r.ok = c.at("ok", "sweep.corners").as_bool("sweep.corners.ok");
-    if (const JsonValue* e = c.find("error")) {
+    if (const obs::Json* e = c.find("error")) {
       r.error_stage = string_or(*e, "stage");
       r.error = string_or(*e, "detail");
     }
-    if (const JsonValue* t = c.find("timing")) r.timing = timing_from_json(*t);
-    if (const JsonValue* p = c.find("power")) r.power = power_from_json(*p);
+    if (const obs::Json* t = c.find("timing")) r.timing = timing_from_json(*t);
+    if (const obs::Json* p = c.find("power")) r.power = power_from_json(*p);
     r.library_leakage_w = num_or(c, "library_leakage_w", 0.0, "sweep");
-    if (const JsonValue* f = c.find("fits_cooling_budget"))
+    if (const obs::Json* f = c.find("fits_cooling_budget"))
       r.fits_cooling_budget = f->as_bool("sweep.fits_cooling_budget");
-    if (const JsonValue* m = c.find("meets_deadline"))
+    if (const obs::Json* m = c.find("meets_deadline"))
       r.meets_deadline = m->as_bool("sweep.meets_deadline");
     outcome.corners.push_back(std::move(r));
   }
-  if (const JsonValue* w = v.find("worst_corner"))
-    outcome.worst_corner =
-        static_cast<std::size_t>(w->as_uint("sweep.worst_corner"));
-  if (const JsonValue* curve = v.find("fmax_vs_temperature")) {
-    for (const JsonValue& pt : curve->items)
+  if (const obs::Json* w = v.find("worst_corner"))
+    outcome.worst_corner = w->as_int<std::size_t>("sweep.worst_corner");
+  if (const obs::Json* curve = v.find("fmax_vs_temperature")) {
+    for (const obs::Json& pt : curve->items())
       outcome.fmax_vs_temperature.emplace_back(
           pt.at("temperature_k", "sweep.curve").as_number("temperature_k"),
           pt.at("fmax_hz", "sweep.curve").as_number("fmax_hz"));
   }
-  if (const JsonValue* x = v.find("cooling_crossover_k"))
+  if (const obs::Json* x = v.find("cooling_crossover_k"))
     outcome.cooling_crossover_k = x->as_number("sweep.cooling_crossover_k");
-  if (const JsonValue* verdict = v.find("cooling_verdict")) {
+  if (const obs::Json* verdict = v.find("cooling_verdict")) {
     const auto parsed =
         cooling_verdict_from_name(verdict->as_string("sweep.cooling_verdict"));
     if (!parsed)
-      throw core::FlowError("request-parse", "",
-                            "sweep.cooling_verdict: unknown verdict \"" +
-                                verdict->as_string("sweep.cooling_verdict") +
-                                "\"");
+      throw obs::JsonError("sweep.cooling_verdict: unknown verdict \"" +
+                      verdict->as_string("sweep.cooling_verdict") + "\"");
     outcome.cooling_verdict = *parsed;
   } else if (outcome.cooling_crossover_k) {
     // Pre-verdict documents: a recorded crossover implies one.
     outcome.cooling_verdict = CoolingVerdict::kCrossover;
   }
   return outcome;
+}
+
+// The schema/kind header shared by requests and responses.
+QueryKind header_kind(const obs::Json& doc, const std::string& schema,
+                      const std::string& what) {
+  if (!doc.is_object()) throw obs::JsonError(what + " must be an object");
+  const std::string found = string_or(doc, "schema");
+  if (found != schema)
+    throw obs::JsonError("unsupported schema '" + found + "' (expected " +
+                         schema + ")");
+  const std::string kind_text = doc.at("kind", what).as_string(what + ".kind");
+  const auto kind = kind_from_name(kind_text);
+  if (!kind)
+    throw obs::JsonError("unknown " + what + " kind '" + kind_text + "'");
+  return *kind;
 }
 
 }  // namespace
@@ -518,30 +529,11 @@ obs::Json to_json(const FlowRequest& request, bool include_id) {
 }
 
 FlowRequest parse_request(const std::string& text) {
-  JsonValue doc;
   try {
-    doc = json_parse(text);
-  } catch (const core::FlowError& e) {
-    throw core::FlowError("request-parse", "", e.detail());
-  }
-  if (!doc.is_object())
-    throw core::FlowError("request-parse", "", "request must be an object");
-  const std::string schema = string_or(doc, "schema");
-  if (schema != "cryosoc-req-v1")
-    throw core::FlowError("request-parse", "",
-                          "unsupported schema '" + schema +
-                              "' (expected cryosoc-req-v1)");
-  const std::string kind_text =
-      doc.at("kind", "request").as_string("request.kind");
-  const auto kind = kind_from_name(kind_text);
-  if (!kind)
-    throw core::FlowError("request-parse", "",
-                          "unknown request kind '" + kind_text + "'");
-
-  FlowRequest request;
-  request.kind = *kind;
-  request.id = string_or(doc, "id");
-  try {
+    const obs::Json doc = obs::Json::parse(text);
+    FlowRequest request;
+    request.kind = header_kind(doc, "cryosoc-req-v1", "request");
+    request.id = string_or(doc, "id");
     if (request.kind != QueryKind::kSweep)
       request.corner = corner_from_json(doc.at("corner", "request"));
     switch (request.kind) {
@@ -561,10 +553,10 @@ FlowRequest parse_request(const std::string& text) {
       case QueryKind::kLeakage:
         break;
     }
-  } catch (const core::FlowError& e) {
-    throw core::FlowError("request-parse", "", e.detail());
+    return request;
+  } catch (const obs::JsonError& e) {
+    throw core::FlowError("request-parse", "", e.what());
   }
-  return request;
 }
 
 std::uint64_t request_fingerprint(const FlowRequest& request) {
@@ -590,12 +582,20 @@ obs::Json response_payload_json(const FlowResponse& response) {
   if (response.timing) result["timing"] = timing_to_json(*response.timing);
   if (response.power) result["power"] = power_to_json(*response.power);
   if (response.library_leakage_w)
-    result["library_leakage_w"] = jnum(*response.library_leakage_w);
+    result["library_leakage_w"] = *response.library_leakage_w;
   if (response.sram) result["sram"] = sram_to_json(*response.sram);
   if (response.sweep)
     result["sweep"] = sweep_outcome_to_json(*response.sweep);
   j["result"] = std::move(result);
   return j;
+}
+
+obs::Json sweep_payload_json(const SweepOutcome& outcome) {
+  FlowResponse response;
+  response.kind = QueryKind::kSweep;
+  response.ok = true;
+  response.sweep = outcome;
+  return response_payload_json(response);
 }
 
 obs::Json to_json(const FlowResponse& response) {
@@ -604,71 +604,55 @@ obs::Json to_json(const FlowResponse& response) {
   if (!response.meta.id.empty()) meta["id"] = response.meta.id;
   meta["sequence"] = response.meta.sequence;
   meta["coalesced"] = response.meta.coalesced;
-  meta["queue_seconds"] = jnum(response.meta.queue_seconds);
-  meta["service_seconds"] = jnum(response.meta.service_seconds);
+  meta["queue_seconds"] = response.meta.queue_seconds;
+  meta["service_seconds"] = response.meta.service_seconds;
   obs::Json latency = obs::Json::object();
   latency["count"] = response.meta.kind_latency.count;
-  latency["p50_s"] = jnum(response.meta.kind_latency.p50_s);
-  latency["p95_s"] = jnum(response.meta.kind_latency.p95_s);
-  latency["p99_s"] = jnum(response.meta.kind_latency.p99_s);
+  latency["p50_s"] = response.meta.kind_latency.p50_s;
+  latency["p95_s"] = response.meta.kind_latency.p95_s;
+  latency["p99_s"] = response.meta.kind_latency.p99_s;
   meta["latency"] = std::move(latency);
   j["meta"] = std::move(meta);
   return j;
 }
 
-FlowResponse parse_response(const std::string& text) {
-  JsonValue doc;
-  try {
-    doc = json_parse(text);
-  } catch (const core::FlowError& e) {
-    throw core::FlowError("response-parse", "", e.detail());
-  }
-  if (!doc.is_object())
-    throw core::FlowError("response-parse", "", "response must be an object");
-  const std::string schema = string_or(doc, "schema");
-  if (schema != "cryosoc-resp-v1")
-    throw core::FlowError("response-parse", "",
-                          "unsupported schema '" + schema +
-                              "' (expected cryosoc-resp-v1)");
+namespace {
+
+FlowResponse response_from_json(const obs::Json& doc) {
   FlowResponse response;
-  const std::string kind_text =
-      doc.at("kind", "response").as_string("response.kind");
-  const auto kind = kind_from_name(kind_text);
-  if (!kind)
-    throw core::FlowError("response-parse", "",
-                          "unknown response kind '" + kind_text + "'");
-  response.kind = *kind;
+  response.kind = header_kind(doc, "cryosoc-resp-v1", "response");
   response.ok = doc.at("ok", "response").as_bool("response.ok");
-  if (const JsonValue* e = doc.find("error")) {
+  if (const obs::Json* e = doc.find("error")) {
     response.error_stage = string_or(*e, "stage");
     response.error = string_or(*e, "detail");
   }
-  if (const JsonValue* corner = doc.find("corner"))
+  if (const obs::Json* corner = doc.find("corner"))
     response.corner = corner_from_json(*corner);
-  if (const JsonValue* result = doc.find("result")) {
-    if (const JsonValue* t = result->find("timing"))
+  if (const obs::Json* result = doc.find("result")) {
+    if (const obs::Json* t = result->find("timing"))
       response.timing = timing_from_json(*t);
-    if (const JsonValue* p = result->find("power"))
+    if (const obs::Json* p = result->find("power"))
       response.power = power_from_json(*p);
-    if (const JsonValue* l = result->find("library_leakage_w"))
+    if (const obs::Json* l = result->find("library_leakage_w"))
       response.library_leakage_w = l->as_number("result.library_leakage_w");
-    if (const JsonValue* s = result->find("sram"))
+    if (const obs::Json* s = result->find("sram"))
       response.sram = sram_from_json(*s);
-    if (const JsonValue* sweep = result->find("sweep"))
+    if (const obs::Json* sweep = result->find("sweep"))
       response.sweep = sweep_outcome_from_json(*sweep);
   }
-  if (const JsonValue* meta = doc.find("meta")) {
+  if (const obs::Json* meta = doc.find("meta")) {
     response.meta.id = string_or(*meta, "id");
-    if (const JsonValue* seq = meta->find("sequence"))
-      response.meta.sequence = seq->as_uint("meta.sequence");
-    if (const JsonValue* c = meta->find("coalesced"))
-      response.meta.coalesced = c->as_uint("meta.coalesced");
+    if (const obs::Json* seq = meta->find("sequence"))
+      response.meta.sequence = seq->as_int<std::uint64_t>("meta.sequence");
+    if (const obs::Json* c = meta->find("coalesced"))
+      response.meta.coalesced = c->as_int<std::uint64_t>("meta.coalesced");
     response.meta.queue_seconds = num_or(*meta, "queue_seconds", 0.0, "meta");
     response.meta.service_seconds =
         num_or(*meta, "service_seconds", 0.0, "meta");
-    if (const JsonValue* latency = meta->find("latency")) {
-      if (const JsonValue* n = latency->find("count"))
-        response.meta.kind_latency.count = n->as_uint("meta.latency.count");
+    if (const obs::Json* latency = meta->find("latency")) {
+      if (const obs::Json* n = latency->find("count"))
+        response.meta.kind_latency.count =
+            n->as_int<std::uint64_t>("meta.latency.count");
       response.meta.kind_latency.p50_s =
           num_or(*latency, "p50_s", 0.0, "meta.latency");
       response.meta.kind_latency.p95_s =
@@ -678,6 +662,16 @@ FlowResponse parse_response(const std::string& text) {
     }
   }
   return response;
+}
+
+}  // namespace
+
+FlowResponse parse_response(const std::string& text) {
+  try {
+    return response_from_json(obs::Json::parse(text));
+  } catch (const obs::JsonError& e) {
+    throw core::FlowError("response-parse", "", e.what());
+  }
 }
 
 }  // namespace cryo::serve

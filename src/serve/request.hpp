@@ -16,15 +16,17 @@
 // SweepOutcome types defined here.
 //
 // Wire format: a stable JSON schema, `cryosoc-req-v1` / `cryosoc-resp-v1`.
-//  - to_json() renders with obs::Json; identity-bearing doubles (corner
-//    vdd/temperature, profile rates) are emitted in shortest round-trip
-//    form, so parse(to_json(r)) == r exactly — equal corners stay equal
-//    through the wire and coalesce to one cache entry.
-//  - parse_request()/parse_response() accept the same schema back;
-//    malformed documents throw core::FlowError{stage="request-parse"}.
+//  - to_json() renders with obs::Json, which writes every double in
+//    shortest round-trip form, so parse(to_json(r)) == r exactly — equal
+//    corners stay equal through the wire and coalesce to one cache entry.
+//  - parse_request()/parse_response() read the same schema back through
+//    obs::Json::parse; malformed documents, wrong member types, and
+//    integer fields that are fractional or out of range throw
+//    core::FlowError{stage="request-parse"} ("response-parse").
 //  - response_payload_json() renders only the deterministic result
 //    portion (no metadata), so "service response == direct CryoSocFlow
-//    call" is a byte-level assertion.
+//    call" is a byte-level assertion. A sweep report has no other
+//    document: sweep_payload_json() renders it as this payload.
 //  - request_fingerprint() hashes the canonical request rendering minus
 //    the client id; the service coalesces in-flight requests on it.
 #pragma once
@@ -241,6 +243,9 @@ obs::Json to_json(const FlowResponse& response);
 // Payload only (schema/kind/ok/error/corner/result) — byte-identical for
 // identical queries regardless of service scheduling.
 obs::Json response_payload_json(const FlowResponse& response);
+// The payload of an ok kSweep response carrying `outcome`: the one
+// document a sweep renders as, also where bench reports embed it.
+obs::Json sweep_payload_json(const SweepOutcome& outcome);
 FlowResponse parse_response(const std::string& text);
 
 // FNV-1a over the canonical (id-less) request rendering. Two requests

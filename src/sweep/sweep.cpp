@@ -196,69 +196,4 @@ SweepReport run_sweep(core::CryoSocFlow& flow, const SweepRequest& request) {
   return report;
 }
 
-obs::Json to_json(const SweepReport& report) {
-  obs::Json j = obs::Json::object();
-  j["schema"] = "cryosoc-sweep-v1";
-  j["corner_count"] = report.corners.size();
-  j["failed"] = report.failed;
-
-  obs::Json corners = obs::Json::array();
-  for (const CornerResult& r : report.corners) {
-    obs::Json c = obs::Json::object();
-    c["name"] = r.corner.label();
-    c["key"] = r.corner.key();
-    c["vdd"] = r.corner.vdd;
-    c["temperature_k"] = r.corner.temperature;
-    c["ok"] = r.ok;
-    if (!r.ok) {
-      c["error_stage"] = r.error_stage;
-      c["error"] = r.error;
-    }
-    if (r.timing) {
-      obs::Json t = obs::Json::object();
-      t["fmax_hz"] = r.timing->fmax;
-      t["critical_delay_s"] = r.timing->critical_delay;
-      t["critical_endpoint"] = r.timing->critical_endpoint;
-      t["endpoint_count"] = r.timing->endpoint_count;
-      c["timing"] = std::move(t);
-    }
-    if (r.power) {
-      obs::Json p = obs::Json::object();
-      p["dynamic_w"] = r.power->dynamic();
-      p["leakage_w"] = r.power->leakage();
-      p["total_w"] = r.power->total();
-      c["power"] = std::move(p);
-    }
-    if (r.library_leakage_w > 0.0)
-      c["library_leakage_w"] = r.library_leakage_w;
-    if (r.fits_cooling_budget)
-      c["fits_cooling_budget"] = *r.fits_cooling_budget;
-    if (r.meets_deadline) c["meets_deadline"] = *r.meets_deadline;
-    c["seconds"] = r.seconds;
-    corners.push_back(std::move(c));
-  }
-  j["corners"] = std::move(corners);
-
-  if (report.worst_corner) {
-    obs::Json w = obs::Json::object();
-    w["index"] = *report.worst_corner;
-    w["name"] = report.corners[*report.worst_corner].corner.label();
-    j["worst_corner"] = std::move(w);
-  }
-  if (!report.fmax_vs_temperature.empty()) {
-    obs::Json curve = obs::Json::array();
-    for (const auto& [t, f] : report.fmax_vs_temperature) {
-      obs::Json pt = obs::Json::object();
-      pt["temperature_k"] = t;
-      pt["fmax_hz"] = f;
-      curve.push_back(std::move(pt));
-    }
-    j["fmax_vs_temperature"] = std::move(curve);
-  }
-  if (report.cooling_crossover_k)
-    j["cooling_crossover_k"] = *report.cooling_crossover_k;
-  j["cooling_verdict"] = serve::cooling_verdict_name(report.cooling_verdict);
-  return j;
-}
-
 }  // namespace cryo::sweep

@@ -29,12 +29,14 @@
 //
 // Observability: sweep.corners / sweep.failures counters, the
 // sweep.corner_seconds histogram, and the flow's
-// sweep.corner_cache.{hit,miss,evict} instruments. to_json() renders the
-// whole report as one `cryosoc-sweep-v1` document for obs::BenchReport.
+// sweep.corner_cache.{hit,miss,evict} instruments.
+//
+// Wire format: a report has no document of its own. It renders as the
+// sweep payload of `cryosoc-resp-v1` (serve::sweep_payload_json), which
+// leaves the per-corner wall `seconds` out.
 #pragma once
 
 #include "core/flow.hpp"
-#include "obs/report.hpp"
 #include "serve/request.hpp"
 
 namespace cryo::sweep {
@@ -47,9 +49,5 @@ using SweepReport = serve::SweepOutcome;
 // exec scheduler. Shared lazy state (devices, the synthesized SoC) is
 // built once up front, so workers only do per-corner work.
 SweepReport run_sweep(core::CryoSocFlow& flow, const SweepRequest& request);
-
-// Renders the report as one `cryosoc-sweep-v1` JSON document (embed it in
-// an obs::BenchReport under results()["sweep"]).
-obs::Json to_json(const SweepReport& report);
 
 }  // namespace cryo::sweep

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -264,7 +265,7 @@ TEST(ObsMetrics, SnapshotJsonIsValidAndContainsInstruments) {
   obs::registry().counter("test.snapshot_counter").add(3);
   obs::registry().gauge("test.snapshot_gauge").set(1.25);
   obs::registry().histogram("test.snapshot_hist").observe(0.01);
-  const std::string json = obs::registry().snapshot_json();
+  const std::string json = obs::registry().snapshot_json().dump();
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
   EXPECT_NE(json.find("test.snapshot_counter"), std::string::npos);
   EXPECT_NE(json.find("test.snapshot_gauge"), std::string::npos);
@@ -305,7 +306,7 @@ TEST(ObsMetrics, SparseSymbolicAnalysesScaleWithTopologiesNotIterations) {
   EXPECT_GE(refactors.value() - ref0, iters - kSolves);
   EXPECT_GT(obs::registry().gauge("spice.fill_nnz").value(), 0.0);
 
-  const std::string json = obs::registry().snapshot_json();
+  const std::string json = obs::registry().snapshot_json().dump();
   EXPECT_NE(json.find("spice.symbolic_analyses"), std::string::npos);
   EXPECT_NE(json.find("spice.numeric_refactors"), std::string::npos);
   EXPECT_NE(json.find("spice.fill_nnz"), std::string::npos);
@@ -385,6 +386,31 @@ TEST(ObsReport, BenchReportMatchesSchema) {
         "\"git\"", "\"results\"", "\"answer\"", "\"metrics\""})
     EXPECT_NE(text.find(field), std::string::npos) << field;
 
+  fs::remove_all(dir, ec);
+}
+
+TEST(ObsReport, NonFiniteNumbersRenderAsNull) {
+  const fs::path dir = fs::temp_directory_path() / "cryosoc_test_nonfinite";
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  EnvGuard guard("CRYOSOC_BENCH_DIR", dir.string().c_str());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  obs::Gauge& gauge = obs::registry().gauge("test.nonfinite_gauge");
+  gauge.set(-kInf);
+  {
+    auto report = obs::BenchReport("nonfinite");
+    report.results()["pos_inf"] = kInf;
+    report.results()["neg_inf"] = -kInf;
+    report.results()["nan"] = std::numeric_limits<double>::quiet_NaN();
+    report.write();
+  }
+  gauge.reset();
+
+  const std::string text = read_file(dir / "BENCH_nonfinite.json");
+  EXPECT_TRUE(JsonChecker(text).valid()) << text.substr(0, 400);
+  for (const char* field : {"\"pos_inf\": null", "\"neg_inf\": null",
+                            "\"nan\": null", "\"test.nonfinite_gauge\": null"})
+    EXPECT_NE(text.find(field), std::string::npos) << field;
   fs::remove_all(dir, ec);
 }
 

@@ -18,7 +18,7 @@
 #include "core/error.hpp"
 #include "core/flow.hpp"
 #include "obs/metrics.hpp"
-#include "serve/json.hpp"
+#include "obs/report.hpp"
 #include "serve/request.hpp"
 #include "serve/service.hpp"
 
@@ -132,11 +132,54 @@ TEST(ServeWire, ParseRejectsMalformedRequests) {
   // Right schema and kind but a missing corner.
   EXPECT_EQ(stage_of("{\"schema\":\"cryosoc-req-v1\",\"kind\":\"timing\"}"),
             "request-parse");
+  // A header member of the wrong type.
+  EXPECT_EQ(stage_of("{\"schema\":5,\"kind\":\"timing\"}"), "request-parse");
+
+  // Hostile numbers: integer fields take exact in-range integers only
+  // (SRAM rows/cols >= 1), and doubles must be finite.
+  const std::string head = R"({"schema":"cryosoc-req-v1","kind":)";
+  const std::string corner = R"("corner":{"vdd":0.7,"temperature_k":10})";
+  const auto sram = [&](const std::string& rows, const std::string& cols) {
+    return head + R"("sram",)" + corner + R"(,"macro":{"rows":)" + rows +
+           R"(,"cols":)" + cols + "}}";
+  };
+  const auto sweep = [&](const std::string& field) {
+    return head + R"("sweep","sweep":{"corners":[],)" + field + "}}";
+  };
+  const auto measured = [&](const std::string& fields) {
+    return head + R"("measured_power",)" + corner + R"(,"activity":{)" +
+           fields + "}}";
+  };
+  const std::string hostile[] = {
+      sram("1e999", "8"),
+      sram("1.5", "8"),
+      sram("1e3", "8"),
+      sram("-1", "8"),
+      sram("0", "8"),
+      sram("8", "0"),
+      sram("2147483648", "8"),
+      sram(R"("64")", "8"),
+      head + R"("timing","corner":{"vdd":0.7,"temperature_k":1e999}})",
+      sweep(R"("qubits":1e999)"),
+      sweep(R"("threads":1.5)"),
+      sweep(R"("threads":-2147483649)"),
+      measured(R"("cycles":-1,"events":0,"glitches":0)"),
+      measured(R"("cycles":18446744073709551616,"events":0,"glitches":0)"),
+      measured(R"("cycles":1,"events":0,"glitches":0,"net_toggles":[1.5])"),
+  };
+  for (const std::string& text : hostile)
+    EXPECT_EQ(stage_of(text), "request-parse") << text;
+  // The limits themselves are accepted.
+  EXPECT_EQ(stage_of(sram("1", "2147483647")), "no-throw");
+  EXPECT_EQ(stage_of(sweep(R"("threads":-1)")), "no-throw");
+  EXPECT_EQ(stage_of(measured(
+                R"("cycles":18446744073709551615,"events":0,"glitches":0)")),
+            "no-throw");
 }
 
-TEST(ServeWire, ResponseRoundTripsByteIdenticallyForEveryKind) {
-  // Hand-built responses covering every result member, including an
-  // error response and optional sweep verdicts.
+// Hand-built responses covering every kind and result member, including
+// error responses and optional sweep verdicts.
+std::vector<FlowResponse> sample_responses() {
   std::vector<FlowResponse> responses;
   {
     FlowResponse r;
@@ -205,7 +248,7 @@ TEST(ServeWire, ResponseRoundTripsByteIdenticallyForEveryKind) {
     bad_corner.corner = {0.7, 10.0, "10k"};
     bad_corner.ok = false;
     bad_corner.error_stage = "quarantine";
-    bad_corner.error = "library has 1 quarantined arc(s)";
+    bad_corner.error = "library has 1 quarantined arc(s)\n\x01";
     o.corners = {ok_corner, bad_corner};
     o.failed = 1;
     o.worst_corner = 0;
@@ -240,7 +283,23 @@ TEST(ServeWire, ResponseRoundTripsByteIdenticallyForEveryKind) {
     r.error = "[flow:characterize] SPICE diverged";
     responses.push_back(r);
   }
+  {
+    FlowResponse r;
+    r.kind = QueryKind::kMeasuredPower;
+    r.ok = true;
+    r.corner = {0.7, 4.0, ""};
+    power::PowerReport p;
+    p.dynamic_logic = 0.0031;
+    p.dynamic_glitch = 1.0 / 3.0;
+    p.leakage_logic = 2e-7;
+    r.power = p;
+    responses.push_back(r);
+  }
+  return responses;
+}
 
+TEST(ServeWire, ResponseRoundTripsByteIdenticallyForEveryKind) {
+  std::vector<FlowResponse> responses = sample_responses();
   for (FlowResponse& response : responses) {
     response.meta.id = "resp-id";
     response.meta.sequence = 42;
@@ -256,22 +315,147 @@ TEST(ServeWire, ResponseRoundTripsByteIdenticallyForEveryKind) {
   }
 }
 
+// The wire format is a contract with external clients: a request and a
+// response of every kind, and a parse-error response, render exactly
+// these bytes.
+TEST(ServeWire, RenderingsMatchPinnedBytes) {
+  const char* const kRequests[] = {
+    R"({"schema":"cryosoc-req-v1","kind":"timing","id":"rq-timing","corne)"
+    R"(r":{"vdd":0.7,"temperature_k":77,"name":"cold"}})",
+    R"({"schema":"cryosoc-req-v1","kind":"power","id":"rq-power","corner")"
+    R"(:{"vdd":0.7,"temperature_k":77,"name":"cold"},"profile":{"clock_fr)"
+    R"(equency_hz":1.25e+09,"default_activity":0.05,"unit_activity":{"alu)"
+    R"(":0.45,"pc":0.3},"sram_reads_per_cycle":{"l1d_data":0.125},"sram_w)"
+    R"(rites_per_cycle":{"l1d_data":0.0625}}})",
+    R"({"schema":"cryosoc-req-v1","kind":"measured_power","id":"rq-measur)"
+    R"(ed","corner":{"vdd":0.7,"temperature_k":77,"name":"cold"},"activit)"
+    R"(y":{"clock_frequency_hz":2e+09,"cycles":1000,"events":4321,"glitch)"
+    R"(es":17,"net_toggles":[5,0,12],"net_glitches":[1,0,0],"sram_reads_p)"
+    R"(er_cycle":{"l1i_tags":0.5},"sram_writes_per_cycle":{}}})",
+    R"({"schema":"cryosoc-req-v1","kind":"leakage","id":"rq-leak","corner)"
+    R"(":{"vdd":0.7,"temperature_k":77,"name":"cold"}})",
+    R"({"schema":"cryosoc-req-v1","kind":"sram","id":"rq-sram","corner":{)"
+    R"("vdd":0.7,"temperature_k":77,"name":"cold"},"macro":{"rows":256,"c)"
+    R"(ols":32}})",
+    R"({"schema":"cryosoc-req-v1","kind":"sweep","id":"rq-sweep","sweep":)"
+    R"({"corners":[{"vdd":0.7,"temperature_k":300,"name":"300k"},{"vdd":0)"
+    R"(.7,"temperature_k":10,"name":"10k"}],"run_timing":false,"run_power)"
+    R"(":false,"run_leakage":true,"run_feasibility":true,"profile":{"cloc)"
+    R"(k_frequency_hz":1.25e+09,"default_activity":0.05,"unit_activity":{)"
+    R"("alu":0.45,"pc":0.3},"sram_reads_per_cycle":{"l1d_data":0.125},"sr)"
+    R"(am_writes_per_cycle":{"l1d_data":0.0625}},"cooling_budget_w":0.1,")"
+    R"(deadline_s":0.00011,"cycles_per_classification":1500,"qubits":27,")"
+    R"(threads":0}})",
+  };
+  const char* const kResponses[] = {
+    R"({"schema":"cryosoc-resp-v1","kind":"timing","ok":true,"corner":{"v)"
+    R"(dd":0.7,"temperature_k":300,"name":"300k"},"result":{"timing":{"cr)"
+    R"(itical_delay_s":7.25e-10,"fmax_hz":1379310344.8275862,"worst_hold_)"
+    R"(slack_s":1.5e-11,"has_hold_endpoints":true,"endpoint_count":321,"c)"
+    R"(ritical_endpoint":"mem_wb_r17_b3","critical_path":[{"instance":"al)"
+    R"(u_x","cell":"NAND2_X2","through":"A1","delay_s":1.25e-11,"arrival_)"
+    R"(s":5.5e-11}]}}})",
+    R"({"schema":"cryosoc-resp-v1","kind":"power","ok":true,"corner":{"vd)"
+    R"(d":0.65,"temperature_k":10,"name":"10k"},"result":{"power":{"dynam)"
+    R"(ic_logic_w":0.011,"dynamic_sram_w":0.002,"dynamic_glitch_w":5e-04,)"
+    R"("leakage_logic_w":1e-05,"leakage_sram_w":3e-06,"total_w":0.013513})"
+    R"(}})",
+    R"({"schema":"cryosoc-resp-v1","kind":"leakage","ok":true,"corner":{")"
+    R"(vdd":0.7,"temperature_k":10},"result":{"library_leakage_w":4.25e-0)"
+    R"(7}})",
+    R"({"schema":"cryosoc-resp-v1","kind":"sram","ok":true,"corner":{"vdd)"
+    R"(":0.7,"temperature_k":300},"result":{"sram":{"macro":{"rows":512,")"
+    R"(cols":64},"access_time_s":2.5e-10,"setup_time_s":3e-11,"min_cycle_)"
+    R"(s":4e-10,"leakage_w":1e-04,"read_energy_j":2e-13,"write_energy_j":)"
+    R"(3e-13,"leakage_per_bit_w":3e-09,"reference_gate_delay_s":6e-12}}})",
+    R"({"schema":"cryosoc-resp-v1","kind":"sweep","ok":true,"result":{"sw)"
+    R"(eep":{"failed":1,"corners":[{"corner":{"vdd":0.7,"temperature_k":3)"
+    R"(00,"name":"300k"},"ok":true,"library_leakage_w":2e-04,"fits_coolin)"
+    R"(g_budget":false,"meets_deadline":true},{"corner":{"vdd":0.7,"tempe)"
+    R"(rature_k":10,"name":"10k"},"ok":false,"error":{"stage":"quarantine)"
+    R"(","detail":"library has 1 quarantined arc(s)\n\u0001"}}],"worst_co)"
+    R"(rner":0,"fmax_vs_temperature":[{"temperature_k":10,"fmax_hz":1.1e+)"
+    R"(09},{"temperature_k":300,"fmax_hz":1.2e+09}],"cooling_crossover_k")"
+    R"(:47.5,"cooling_verdict":"crossover"}}})",
+    R"({"schema":"cryosoc-resp-v1","kind":"sweep","ok":true,"result":{"sw)"
+    R"(eep":{"failed":0,"corners":[{"corner":{"vdd":0.7,"temperature_k":1)"
+    R"(0,"name":"10k"},"ok":true,"fits_cooling_budget":false}],"fmax_vs_t)"
+    R"(emperature":[],"cooling_verdict":"infeasible_everywhere"}}})",
+    R"({"schema":"cryosoc-resp-v1","kind":"measured_power","ok":false,"er)"
+    R"(ror":{"stage":"characterize","detail":"[flow:characterize] SPICE d)"
+    R"(iverged"},"corner":{"vdd":0.7,"temperature_k":4},"result":{}})",
+    R"({"schema":"cryosoc-resp-v1","kind":"measured_power","ok":true,"cor)"
+    R"(ner":{"vdd":0.7,"temperature_k":4},"result":{"power":{"dynamic_log)"
+    R"(ic_w":0.0031,"dynamic_sram_w":0,"dynamic_glitch_w":0.3333333333333)"
+    R"(333,"leakage_logic_w":2e-07,"leakage_sram_w":0,"total_w":0.3364335)"
+    R"(333333333}}})",
+  };
+  const std::vector<FlowRequest> requests = sample_requests();
+  ASSERT_EQ(requests.size(), std::size(kRequests));
+  for (std::size_t i = 0; i < requests.size(); ++i)
+    EXPECT_EQ(to_json(requests[i]).dump_line(), kRequests[i]) << i;
+  const std::vector<FlowResponse> responses = sample_responses();
+  ASSERT_EQ(responses.size(), std::size(kResponses));
+  for (std::size_t i = 0; i < responses.size(); ++i)
+    EXPECT_EQ(response_payload_json(responses[i]).dump_line(), kResponses[i])
+        << i;
+
+  // The ok=false line cryosocd answers a malformed request with.
+  FlowResponse parse_error;
+  try {
+    parse_request("{not json");
+    FAIL() << "expected FlowError{request-parse}";
+  } catch (const FlowError& e) {
+    parse_error.error_stage = e.stage();
+    parse_error.error = e.detail();
+  }
+  EXPECT_EQ(response_payload_json(parse_error).dump_line(),
+            R"({"schema":"cryosoc-resp-v1","kind":"timing","ok":false,"error":{"s)"
+            R"(tage":"request-parse","detail":"expected '\"', got 'n' at byte 1"})"
+            R"(,"corner":{"vdd":0.7,"temperature_k":300},"result":{}})");
+}
+
 TEST(ServeWire, JsonParserHandlesEscapesAndRejectsGarbage) {
-  const JsonValue v =
-      json_parse("{\"a\\n\": [1, -2.5e3, \"\\u0041\"], \"b\": null}");
+  const obs::Json v =
+      obs::Json::parse("{\"a\\n\": [1, -2.5e3, \"\\u0041\"], \"b\": null}");
   ASSERT_TRUE(v.is_object());
-  const JsonValue* arr = v.find("a\n");
+  const obs::Json* arr = v.find("a\n");
   ASSERT_NE(arr, nullptr);
-  ASSERT_EQ(arr->items.size(), 3u);
-  EXPECT_DOUBLE_EQ(arr->items[0].as_number("n"), 1.0);
-  EXPECT_DOUBLE_EQ(arr->items[1].as_number("n"), -2500.0);
-  EXPECT_EQ(arr->items[2].as_string("s"), "A");
+  ASSERT_EQ(arr->items().size(), 3u);
+  EXPECT_DOUBLE_EQ(arr->items()[0].as_number("n"), 1.0);
+  EXPECT_DOUBLE_EQ(arr->items()[1].as_number("n"), -2500.0);
+  EXPECT_EQ(arr->items()[2].as_string("s"), "A");
   EXPECT_TRUE(v.at("b", "doc").is_null());
 
-  EXPECT_THROW(json_parse("{\"a\":1} trailing"), FlowError);
-  EXPECT_THROW(json_parse("{\"a\":}"), FlowError);
-  EXPECT_THROW(json_parse(""), FlowError);
-  EXPECT_THROW(json_parse("{\"a\":01x}"), FlowError);
+  EXPECT_THROW(obs::Json::parse("{\"a\":1} trailing"), obs::JsonError);
+  EXPECT_THROW(obs::Json::parse("{\"a\":}"), obs::JsonError);
+  EXPECT_THROW(obs::Json::parse(""), obs::JsonError);
+  EXPECT_THROW(obs::Json::parse("{\"a\":01x}"), obs::JsonError);
+  EXPECT_THROW(obs::Json::parse("\"\\u00g1\""), obs::JsonError);
+  EXPECT_THROW(obs::Json::parse("\"\\u-041\""), obs::JsonError);
+}
+
+TEST(ServeWire, DeepNestingIsAParseErrorAndServiceCarriesOn) {
+  // One line of '[' once recursed until the parser overflowed its stack.
+  try {
+    parse_request(std::string(1 << 20, '['));
+    FAIL() << "expected FlowError{request-parse}";
+  } catch (const FlowError& e) {
+    EXPECT_EQ(e.stage(), "request-parse");
+    EXPECT_NE(e.detail().find("nesting too deep at byte 64"),
+              std::string::npos)
+        << e.detail();
+  }
+
+  const fs::path dir = fs::path(::testing::TempDir()) / "serve_deep";
+  fs::remove_all(dir);
+  CryoSocFlow flow(tiny_config(dir.string()));
+  FlowService service(flow);
+  const std::string next =
+      to_json(sram_request(Corner{0.7, 300.0, ""}, {64, 8})).dump_line();
+  const FlowResponse response = service.call(parse_request(next));
+  EXPECT_TRUE(response.ok) << response.error;
+  fs::remove_all(dir);
 }
 
 // ---- Service: coalescing storm ------------------------------------------

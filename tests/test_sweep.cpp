@@ -166,10 +166,13 @@ TEST(Sweep, JsonReportCarriesSchema) {
   SweepRequest request;
   request.corners = {flow.corner(300.0)};
   const auto report = run_sweep(flow, request);
-  const std::string json = to_json(report).dump(2);
-  EXPECT_NE(json.find("\"schema\": \"cryosoc-sweep-v1\""), std::string::npos);
+  const std::string json = serve::sweep_payload_json(report).dump(2);
+  EXPECT_NE(json.find("\"schema\": \"cryosoc-resp-v1\""), std::string::npos);
+  EXPECT_NE(json.find("\"kind\": \"sweep\""), std::string::npos);
   EXPECT_NE(json.find("\"corners\""), std::string::npos);
   EXPECT_NE(json.find("\"fmax_hz\""), std::string::npos);
+  // Wall clocks are scheduling noise, not results.
+  EXPECT_EQ(json.find("\"seconds\""), std::string::npos);
 }
 
 TEST(Sweep, EmptyGridThrows) {
@@ -251,8 +254,8 @@ TEST(Sweep, CoolingVerdictNamesTheFeasibilityOutcome) {
             serve::CoolingVerdict::kInfeasibleEverywhere);
   EXPECT_FALSE(tight.cooling_crossover_k.has_value());
 
-  // The verdict rides the cryosoc-sweep-v1 document.
-  const std::string json = to_json(tight).dump(2);
+  // The verdict rides the sweep payload.
+  const std::string json = serve::sweep_payload_json(tight).dump(2);
   EXPECT_NE(json.find("\"cooling_verdict\": \"infeasible_everywhere\""),
             std::string::npos);
 
