@@ -4,8 +4,12 @@
 // mismatch of nanometer CMOS at cryogenic temperatures; this bench runs a
 // Monte Carlo over per-device threshold/mobility mismatch through the
 // SPICE engine and compares the delay spread at 300 K and 10 K.
+//
+// Gate: the Monte Carlo run serially and at exec::thread_count() workers
+// gives bit-equal delay vectors at both temperatures.
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -68,11 +72,19 @@ int main() {
     // Monte Carlo samples run concurrently; each draws from its own RNG
     // stream seeded by the task index, so the spread is identical at any
     // thread count.
-    const auto delays = exec::parallel_map<double>(
-        static_cast<std::size_t>(kSamples), [&](std::size_t i) {
-          Rng rng(exec::task_seed(2024, i));
-          return inverter_delay(t, kSigmaVth, kSigmaU0, rng);
-        });
+    const auto monte_carlo = [&](int threads) {
+      return exec::parallel_map<double>(
+          static_cast<std::size_t>(kSamples),
+          [&](std::size_t i) {
+            Rng rng(exec::task_seed(2024, i));
+            return inverter_delay(t, kSigmaVth, kSigmaU0, rng);
+          },
+          threads);
+    };
+    const auto delays = monte_carlo(static_cast<int>(exec::thread_count()));
+    const auto serial = monte_carlo(1);
+    const bool identical = std::memcmp(delays.data(), serial.data(),
+                                       sizeof(double) * delays.size()) == 0;
     const double m = mean(delays);
     const double s = stddev(delays);
     (t > 100 ? rel300 : rel10) = s / m;
@@ -82,6 +94,9 @@ int main() {
     corner["mean_ps"] = m * 1e12;
     corner["sigma_ps"] = s * 1e12;
     corner["relative_spread_percent"] = 100.0 * s / m;
+    report.gate(t > 100 ? "corner_300k.serial_bit_equal"
+                        : "corner_10k.serial_bit_equal",
+                identical, "==", 1);
   }
   report.results()["spread_ratio_10k_vs_300k"] = rel10 / rel300;
   std::printf("\nrelative spread at 10 K is %.2fx the 300 K spread: the\n"
@@ -91,5 +106,5 @@ int main() {
               "ref [17] and motivating temperature-specific guardbands\n"
               "(the paper assumed equal guardbands at both corners).\n",
               rel10 / rel300);
-  return 0;
+  return report.exit_code();
 }

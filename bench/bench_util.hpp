@@ -4,7 +4,9 @@
 // side-by-side numbers).
 #pragma once
 
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "core/flow.hpp"
@@ -27,6 +29,29 @@ inline obs::BenchReport make_report(const std::string& name) {
   obs::BenchReport report(name);
   report.set_threads(exec::thread_count());
   return report;
+}
+
+// True when environment variable `name` is set to anything but "" or a
+// leading '0' (the quick-mode switches).
+inline bool env_flag(const char* name) {
+  const char* v = std::getenv(name);
+  return v && *v && *v != '0';
+}
+
+inline double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// Quick mode's tiny INV+NAND2 X1 catalog, characterized into the scratch
+// store <report dir>/<store> so it never touches the committed artifacts.
+inline void use_quick_catalog(core::FlowConfig& config,
+                              const std::string& store) {
+  config.catalog.only_bases = {"INV", "NAND2"};
+  config.catalog.drives = {1};
+  config.catalog.extra_drives_common = {};
+  config.catalog.include_slvt = false;
+  config.lib_dir = obs::BenchReport::output_dir() + "/" + store;
 }
 
 // Shared flow instance (loads the committed Liberty artifacts; golden

@@ -5,13 +5,18 @@
 // activity factors for power signoff; this bench quantifies how much the
 // measured workload actually moves the dynamic number at both corners.
 //
+// Gates: two extractions of one deck fingerprint equal, the simulator
+// sustains >= 20k events/s (quick mode measures ~1.2M/s locally; the
+// floor catches an accidental O(n^2) queue, not runner noise), and both
+// power numbers are positive at both corners.
+//
 // CRYOSOC_BENCH_QUICK=1 shrinks the simulated window for CI smoke runs.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.hpp"
 #include "gatesim/activity.hpp"
+#include "obs/metrics.hpp"
 #include "riscv/workloads.hpp"
 
 int main() {
@@ -19,10 +24,7 @@ int main() {
   bench::header("gatesim_events: event-driven simulation & measured power",
                 "paper Sec. VI-B (measured switching activity)");
   auto report = bench::make_report("gatesim_events");
-  const bool quick = [] {
-    const char* env = std::getenv("CRYOSOC_BENCH_QUICK");
-    return env && env[0] != '\0' && env[0] != '0';
-  }();
+  const bool quick = bench::env_flag("CRYOSOC_BENCH_QUICK");
   const std::size_t window = quick ? 150 : 1500;
 
   // ISS retire trace for the Dhrystone-like general-average workload.
@@ -47,8 +49,7 @@ int main() {
     gatesim::ActivityExtractor extractor(soc, *lib300);
     const auto t0 = std::chrono::steady_clock::now();
     auto act = extractor.extract(deck, f);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double secs = std::chrono::duration<double>(t1 - t0).count();
+    const double secs = bench::seconds_since(t0);
     return std::make_pair(std::move(act), secs);
   };
   auto [act, secs] = run_once();
@@ -72,6 +73,10 @@ int main() {
   report.results()["events_per_sec"] = events_per_sec;
   report.results()["deterministic"] = deterministic;
   report.results()["quick"] = quick;
+  report.gate("deterministic", deterministic, "==", 1);
+  report.gate("events", act.events, ">", 0);
+  report.gate("window_cycles", act.cycles, ">", 0);
+  report.gate("events_per_sec", events_per_sec, ">=", 20000);
 
   // -- Measured vs uniform dynamic power at both corners ----------------
   const auto profile = bench::flow().activity_from_perf(perf, f);
@@ -94,10 +99,22 @@ int main() {
     r["dynamic_measured_mw"] = measured.dynamic() * 1e3;
     r["dynamic_glitch_mw"] = measured.dynamic_glitch * 1e3;
     r["delta_percent"] = delta;
+    const std::string name = t > 100 ? "power_300k" : "power_10k";
+    report.gate(name + ".dynamic_measured_mw", measured.dynamic() * 1e3, ">",
+                0);
+    report.gate(name + ".dynamic_uniform_mw", uniform.dynamic() * 1e3, ">",
+                0);
   }
   std::printf("\nmeasured activity replaces the uniform per-unit toggle\n"
               "factors with per-net rates from the simulated instruction\n"
               "stream; the glitch column is inertially cancelled pulses\n"
               "booked at half-swing energy.\n");
-  return deterministic ? 0 : 1;
+  const obs::Json counters = obs::registry().snapshot_json().at(
+      "counters", "metrics");
+  report.gate("counters.gatesim.events",
+              obs::registry().counter("gatesim.events").value(), ">", 0);
+  report.gate("counters.gatesim.glitches_cancelled.recorded",
+              counters.find("gatesim.glitches_cancelled") != nullptr, "==",
+              1);
+  return report.exit_code();
 }

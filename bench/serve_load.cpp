@@ -15,6 +15,11 @@
 //     zero characterizations; throughput and per-kind p50/p95/p99 come
 //     from the serve.latency.<kind> histograms.
 //
+// Gates: the storm executes once, characterizes once and coalesces the
+// other N-1; the warm phase characterizes nothing and accounts for every
+// request (completed or rejected, executed or coalesced); every kind's
+// p50 <= p95 <= p99 <= max, each finite and >= 0.
+//
 // Quick mode (--quick or CRYOSOC_BENCH_QUICK=1): tiny INV+NAND2 catalog
 // in a scratch store and the SoC-free kinds (leakage / sram / sweep), for
 // CI smoke. Full mode uses the committed artifacts and adds timing +
@@ -22,7 +27,6 @@
 // (cryosoc-bench-v1).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <string>
@@ -38,11 +42,6 @@ namespace {
 
 using namespace cryo;
 
-bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  return v && *v && *v != '0';
-}
-
 std::uint64_t counter(const char* name) {
   return obs::registry().counter(name).value();
 }
@@ -50,13 +49,7 @@ std::uint64_t counter(const char* name) {
 core::CryoSocFlow make_flow(bool quick) {
   core::FlowConfig config;
   config.calibrate_devices = false;
-  if (quick) {
-    config.catalog.only_bases = {"INV", "NAND2"};
-    config.catalog.drives = {1};
-    config.catalog.extra_drives_common = {};
-    config.catalog.include_slvt = false;
-    config.lib_dir = obs::BenchReport::output_dir() + "/serve-lib-quick";
-  }
+  if (quick) bench::use_quick_catalog(config, "serve-lib-quick");
   return core::CryoSocFlow(config);
 }
 
@@ -89,7 +82,7 @@ std::vector<serve::FlowRequest> make_mix(bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = env_flag("CRYOSOC_BENCH_QUICK");
+  bool quick = bench::env_flag("CRYOSOC_BENCH_QUICK");
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
 
@@ -131,15 +124,18 @@ int main(int argc, char** argv) {
       if (!f.get().ok)
         std::fprintf(stderr, "storm response failed: %s\n",
                      f.get().error.c_str());
-    const double storm_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    const double storm_s = bench::seconds_since(t0);
 
     report.results()["storm"]["requests"] = storm_n;
     report.results()["storm"]["executed"] = counter("serve.executed");
     report.results()["storm"]["coalesced"] = counter("serve.coalesced");
     report.results()["storm"]["characterizations"] = counter("charlib.runs");
     report.results()["storm"]["seconds"] = storm_s;
+    report.gate("storm.requests", storm_n, "==", 32);
+    report.gate("storm.executed", counter("serve.executed"), "==", 1);
+    report.gate("storm.coalesced", counter("serve.coalesced"), "==",
+                storm_n - 1);
+    report.gate("storm.characterizations", counter("charlib.runs"), "==", 1);
     std::printf("\nstorm: %zu requests -> %llu executed, %llu coalesced, "
                 "%llu characterization(s) in %.3fs\n",
                 storm_n,
@@ -186,9 +182,7 @@ int main(int argc, char** argv) {
   for (auto& f : futures)
     if (!f.get().ok)
       std::fprintf(stderr, "warm response failed: %s\n", f.get().error.c_str());
-  const double warm_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const double warm_s = bench::seconds_since(t0);
 
   const double throughput =
       static_cast<double>(futures.size()) / (warm_s > 0.0 ? warm_s : 1.0);
@@ -199,6 +193,11 @@ int main(int argc, char** argv) {
   report.results()["warm"]["throughput_rps"] = throughput;
   report.results()["warm"]["characterizations"] = counter("charlib.runs");
   report.results()["warm"]["coalesced"] = counter("serve.coalesced");
+  report.gate("warm.characterizations", counter("charlib.runs"), "==", 0);
+  report.gate("warm.completed_plus_rejected", futures.size() + rejected, "==",
+              warm_n);
+  report.gate("warm.completed", futures.size(), ">", 0);
+  report.gate("warm.throughput_rps", throughput, ">", 0);
 
   std::printf("warm: %zu requests in %.3fs (%.0f req/s), "
               "%llu characterization(s), %llu coalesced, %llu rejected\n",
@@ -208,10 +207,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(rejected));
   std::printf("\n%-14s %8s %10s %10s %10s\n", "kind", "count", "p50_ms",
               "p95_ms", "p99_ms");
+  std::uint64_t kinds_reported = 0, observed = 0;
   for (const serve::QueryKind kind : serve::kAllQueryKinds) {
     obs::Histogram& h = obs::registry().histogram(
         std::string("serve.latency.") + serve::kind_name(kind));
     if (h.count() == 0) continue;
+    ++kinds_reported;
+    observed += h.count();
     std::printf("%-14s %8llu %10.4f %10.4f %10.4f\n",
                 serve::kind_name(kind),
                 static_cast<unsigned long long>(h.count()),
@@ -223,7 +225,21 @@ int main(int argc, char** argv) {
     kinds["p95_s"] = h.quantile(0.95);
     kinds["p99_s"] = h.quantile(0.99);
     kinds["max_s"] = h.max_value();
+    // The histogram clamps quantiles to the tracked max, so an unbounded
+    // or unordered quantile means the estimator broke.
+    const std::string name = std::string("warm.") + serve::kind_name(kind);
+    report.gate(name + ".p50_s", h.quantile(0.5), ">=", 0);
+    report.gate(name + ".p50_s_vs_p95", h.quantile(0.5), "<=",
+                h.quantile(0.95));
+    report.gate(name + ".p95_s_vs_p99", h.quantile(0.95), "<=",
+                h.quantile(0.99));
+    report.gate(name + ".p99_s_vs_max", h.quantile(0.99), "<=",
+                h.max_value());
   }
-  report.write();
-  return 0;
+  report.gate("warm.kinds_reported", kinds_reported, ">", 0);
+  // Joiners share an execution, so observed executions plus coalesced
+  // joins account for every completed request.
+  report.gate("warm.observed_plus_coalesced",
+              observed + counter("serve.coalesced"), "==", futures.size());
+  return report.exit_code();
 }

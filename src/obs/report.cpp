@@ -39,8 +39,47 @@ std::string git_describe() {
   return out.empty() ? "unknown" : out;
 }
 
+// Appends {name, value, op, bound, <outcome_key>: outcome} to `gates`.
+void add_gate(Json& gates, const std::string& name, double value,
+              std::string_view op, double bound, const char* outcome_key,
+              Json outcome) {
+  Json g = Json::object();
+  g["name"] = name;
+  g["value"] = value;
+  g["op"] = std::string(op);
+  g["bound"] = bound;
+  g[outcome_key] = std::move(outcome);
+  gates.push_back(std::move(g));
+}
+
 [[noreturn]] void fail(std::size_t pos, const std::string& detail) {
   throw JsonError(detail + " at byte " + std::to_string(pos));
+}
+
+// RFC 8259 number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+bool is_json_number(std::string_view s) {
+  std::size_t i = 0;
+  const auto at = [&](char c) { return i < s.size() && s[i] == c; };
+  const auto digits = [&] {
+    const std::size_t from = i;
+    while (i < s.size() && s[i] >= '0' && s[i] <= '9') ++i;
+    return i > from;
+  };
+  if (at('-')) ++i;
+  if (at('0'))
+    ++i;
+  else if (!digits())
+    return false;
+  if (at('.')) {
+    ++i;
+    if (!digits()) return false;
+  }
+  if (at('e') || at('E')) {
+    ++i;
+    if (at('+') || at('-')) ++i;
+    if (!digits()) return false;
+  }
+  return i == s.size();
 }
 
 }  // namespace
@@ -212,9 +251,7 @@ class JsonParser {
     Json v;
     v.kind_ = Json::Kind::kNumber;
     v.text_ = std::string(in_.substr(start, pos_ - start));
-    char* end = nullptr;
-    std::strtod(v.text_.c_str(), &end);
-    if (end != v.text_.c_str() + v.text_.size())
+    if (!is_json_number(v.text_))
       fail(start, "malformed number '" + v.text_ + "'");
     return v;
   }
@@ -274,10 +311,13 @@ Json& Json::operator[](const std::string& key) {
   return members_.back().second;
 }
 
-Json& Json::push_back(Json v) {
+void Json::push_back(Json v) {
   if (kind_ == Kind::kNull) kind_ = Kind::kArray;
   items_.push_back(std::move(v));
-  return items_.back();
+}
+
+void Json::kind_error(std::string_view what, const char* expected) {
+  throw JsonError(std::string(what) + ": expected " + expected);
 }
 
 const Json* Json::find(std::string_view key) const {
@@ -380,11 +420,14 @@ std::string BenchReport::output_dir() {
 BenchReport::BenchReport(std::string name)
     : name_(std::move(name)),
       results_(Json::object()),
+      gates_(Json::array()),
       start_seconds_(steady_seconds()) {}
 
 BenchReport::BenchReport(BenchReport&& other) noexcept
     : name_(std::move(other.name_)),
       results_(std::move(other.results_)),
+      gates_(std::move(other.gates_)),
+      failed_gates_(other.failed_gates_),
       threads_(other.threads_),
       written_(other.written_),
       start_seconds_(other.start_seconds_) {
@@ -393,6 +436,33 @@ BenchReport::BenchReport(BenchReport&& other) noexcept
 
 BenchReport::~BenchReport() {
   if (!written_) write();
+}
+
+bool BenchReport::gate(const std::string& name, double value,
+                       std::string_view op, double bound) {
+  const bool holds =
+      op == "<"    ? value < bound
+      : op == "<=" ? value <= bound
+      : op == "==" ? value == bound
+      : op == ">=" ? value >= bound
+      : op == ">"  ? value > bound
+                   : throw std::invalid_argument(
+                         "BenchReport::gate: unknown op '" +
+                         std::string(op) + "'");
+  const bool pass = holds && std::isfinite(value);
+  add_gate(gates_, name, value, op, bound, "pass", pass);
+  if (!pass) {
+    ++failed_gates_;
+    std::printf("FAIL: %s = %.6g (gate: %s %.6g)\n", name.c_str(), value,
+                std::string(op).c_str(), bound);
+  }
+  return pass;
+}
+
+void BenchReport::skip_gate(const std::string& name, double value,
+                            std::string_view op, double bound,
+                            const std::string& reason) {
+  add_gate(gates_, name, value, op, bound, "skipped", reason);
 }
 
 std::string BenchReport::write() {
@@ -412,6 +482,7 @@ std::string BenchReport::write() {
       std::max(1u, std::thread::hardware_concurrency());
   doc["git"] = git_describe();
   doc["results"] = std::move(results_);
+  doc["gates"] = std::move(gates_);
   doc["metrics"] = registry().snapshot_json();
 
   const std::filesystem::path dir = output_dir();

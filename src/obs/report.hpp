@@ -16,6 +16,7 @@
 //     "hardware_concurrency": <cores>,
 //     "git": "<git describe --always --dirty, or \"unknown\">",
 //     "results": { ...bench-specific numbers... },
+//     "gates": [ {"name", "value", "op", "bound", "pass" | "skipped"}... ],
 //     "metrics": { ...obs::Registry snapshot... }
 //   }
 //
@@ -53,8 +54,9 @@ class JsonError : public std::runtime_error {
 //    trip; a non-finite double becomes null. An integer gets its decimal
 //    form; a parsed number keeps its token.
 //  - parse() accepts exactly one document (surrounding whitespace
-//    allowed). Malformed text, trailing characters and nesting deeper
-//    than a fixed limit throw JsonError naming the byte offset.
+//    allowed) and numbers only in the RFC 8259 grammar. Malformed text,
+//    trailing characters and nesting deeper than a fixed limit throw
+//    JsonError naming the byte offset.
 class Json {
  public:
   Json() = default;
@@ -74,12 +76,19 @@ class Json {
   // value into an object, so report.results()["a"]["b"] = 1 just works.
   Json& operator[](const std::string& key);
   // Array append. Converts a null value into an array.
-  Json& push_back(Json v);
+  void push_back(Json v);
 
   bool is_null() const { return kind_ == Kind::kNull; }
   bool is_object() const { return kind_ == Kind::kObject; }
-  const std::vector<Json>& items() const { return items_; }
-  const std::vector<std::pair<std::string, Json>>& members() const {
+  // Checked container access: throw JsonError naming `what` unless the
+  // value is an array (items) or an object (members).
+  const std::vector<Json>& items(std::string_view what) const {
+    if (kind_ != Kind::kArray) kind_error(what, "an array");
+    return items_;
+  }
+  const std::vector<std::pair<std::string, Json>>& members(
+      std::string_view what) const {
+    if (kind_ != Kind::kObject) kind_error(what, "an object");
     return members_;
   }
 
@@ -110,6 +119,9 @@ class Json {
 
   // indent < 0 renders on one line.
   void render(std::string& out, int indent) const;
+  // Throws JsonError "<what>: expected <expected>".
+  [[noreturn]] static void kind_error(std::string_view what,
+                                      const char* expected);
 
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
@@ -145,6 +157,19 @@ class BenchReport {
   // Bench-specific payload; fill freely before write().
   Json& results() { return results_; }
 
+  // Declares a check on a number this bench produced: `value op bound`,
+  // op one of "<", "<=", "==", ">=", ">". Records {name, value, op,
+  // bound, pass} in the report's "gates" array and prints a FAIL: line
+  // when it fails. A non-finite value fails every gate. Returns pass.
+  bool gate(const std::string& name, double value, std::string_view op,
+            double bound);
+  // Records a gate that does not apply to this run, with the reason in
+  // place of "pass" (e.g. a speedup gate on a host with too few cores).
+  void skip_gate(const std::string& name, double value, std::string_view op,
+                 double bound, const std::string& reason);
+  // What a bench's main returns: 0 when every declared gate passed.
+  int exit_code() const { return failed_gates_ == 0 ? 0 : 1; }
+
   // Resolved worker-thread count recorded in the report (benches pass
   // exec::thread_count(); defaults to hardware concurrency).
   void set_threads(unsigned threads) { threads_ = threads; }
@@ -159,6 +184,8 @@ class BenchReport {
  private:
   std::string name_;
   Json results_;
+  Json gates_;
+  int failed_gates_ = 0;
   unsigned threads_ = 0;
   bool written_ = false;
   double start_seconds_ = 0.0;

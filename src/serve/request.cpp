@@ -64,7 +64,7 @@ std::map<std::string, double> rate_map_from_json(const obs::Json* v,
                                                  std::string_view what) {
   std::map<std::string, double> rates;
   if (!v) return rates;
-  for (const auto& [key, value] : v->members())
+  for (const auto& [key, value] : v->members(what))
     rates[key] = value.as_number(what);
   return rates;
 }
@@ -127,11 +127,11 @@ gatesim::MeasuredActivity activity_from_json(const obs::Json& v) {
   activity.glitches =
       v.at("glitches", "activity").as_int<std::uint64_t>("activity.glitches");
   if (const obs::Json* toggles = v.find("net_toggles"))
-    for (const obs::Json& t : toggles->items())
+    for (const obs::Json& t : toggles->items("activity.net_toggles"))
       activity.net_toggles.push_back(
           t.as_int<std::uint64_t>("activity.net_toggles"));
   if (const obs::Json* glitches = v.find("net_glitches"))
-    for (const obs::Json& g : glitches->items())
+    for (const obs::Json& g : glitches->items("activity.net_glitches"))
       activity.net_glitches.push_back(
           g.as_int<std::uint64_t>("activity.net_glitches"));
   activity.sram_reads_per_cycle = rate_map_from_json(
@@ -182,7 +182,8 @@ obs::Json sweep_query_to_json(const SweepQuery& query) {
 
 SweepQuery sweep_query_from_json(const obs::Json& v) {
   SweepQuery query;
-  for (const obs::Json& corner : v.at("corners", "sweep").items())
+  for (const obs::Json& corner :
+       v.at("corners", "sweep").items("sweep.corners"))
     query.corners.push_back(corner_from_json(corner));
   query.run_timing = bool_or(v, "run_timing", query.run_timing, "sweep");
   query.run_power = bool_or(v, "run_power", query.run_power, "sweep");
@@ -238,7 +239,7 @@ sta::TimingReport timing_from_json(const obs::Json& v) {
                               .as_int<std::size_t>("timing.endpoint_count");
   timing.critical_endpoint = string_or(v, "critical_endpoint");
   if (const obs::Json* path = v.find("critical_path")) {
-    for (const obs::Json& s : path->items()) {
+    for (const obs::Json& s : path->items("timing.critical_path")) {
       sta::PathStep step;
       step.instance = string_or(s, "instance");
       step.cell = string_or(s, "cell");
@@ -353,7 +354,8 @@ obs::Json sweep_outcome_to_json(const SweepOutcome& outcome) {
 SweepOutcome sweep_outcome_from_json(const obs::Json& v) {
   SweepOutcome outcome;
   outcome.failed = v.at("failed", "sweep").as_int<std::size_t>("sweep.failed");
-  for (const obs::Json& c : v.at("corners", "sweep").items()) {
+  for (const obs::Json& c :
+       v.at("corners", "sweep").items("sweep.corners")) {
     SweepCornerResult r;
     r.corner = corner_from_json(c.at("corner", "sweep.corners"));
     r.ok = c.at("ok", "sweep.corners").as_bool("sweep.corners.ok");
@@ -373,7 +375,7 @@ SweepOutcome sweep_outcome_from_json(const obs::Json& v) {
   if (const obs::Json* w = v.find("worst_corner"))
     outcome.worst_corner = w->as_int<std::size_t>("sweep.worst_corner");
   if (const obs::Json* curve = v.find("fmax_vs_temperature")) {
-    for (const obs::Json& pt : curve->items())
+    for (const obs::Json& pt : curve->items("sweep.fmax_vs_temperature"))
       outcome.fmax_vs_temperature.emplace_back(
           pt.at("temperature_k", "sweep.curve").as_number("temperature_k"),
           pt.at("fmax_hz", "sweep.curve").as_number("fmax_hz"));

@@ -748,8 +748,8 @@ Engine::NrOutcome Engine::solve_nonlinear_reference(
     std::vector<double>& x, const SolveSetup& setup,
     const std::vector<CapState>& caps, const TranOptions& options) const {
   // Frozen pre-SolveContext implementation: full rebuild and per-solve
-  // allocations on every iteration. Kept as the bit-identity oracle and
-  // the recorded perf baseline; do not "optimize" it.
+  // allocations on every iteration. Kept as the oracle the incremental
+  // path must match bit for bit; do not "optimize" it.
   const std::size_t n = dim_;
   std::vector<double> a(n * n), z(n);
   std::vector<double> prev_dv(n_nodes_, 0.0);
@@ -916,148 +916,7 @@ std::vector<double> Engine::dc_operating_point_from(std::vector<double> x0,
   return dc_operating_point(t);
 }
 
-TranResult Engine::transient_reference(const TranOptions& options) {
-  // Seed implementation, frozen as the recorded perf baseline. The known
-  // defects are kept on purpose: breakpoint clipping writes dt_eff back
-  // into the controller (step collapse on PWL-heavy stimuli), x_pred /
-  // x_new are allocated per step, and the final state is copied on every
-  // accepted step (the historical TranResult::append behavior).
-  OBS_SPAN("spice.transient");
-  std::vector<std::string> node_names(n_nodes_);
-  for (std::size_t i = 0; i < n_nodes_; ++i)
-    node_names[i] = circuit_.node_name(static_cast<NodeId>(i + 1));
-  std::vector<std::string> source_names(n_sources_);
-  for (std::size_t i = 0; i < n_sources_; ++i)
-    source_names[i] = circuit_.vsources()[i].name;
-  TranResult result(std::move(node_names), std::move(source_names));
-
-  std::vector<double> x = dc_operating_point(0.0, options);
-
-  const auto& cap_elems = circuit_.capacitors();
-  std::vector<CapState> caps(cap_elems.size());
-  auto vnode = [&](const std::vector<double>& xs, NodeId id) {
-    return id == kGround ? 0.0 : xs[static_cast<std::size_t>(id - 1)];
-  };
-  for (std::size_t i = 0; i < cap_elems.size(); ++i) {
-    caps[i].voltage = vnode(x, cap_elems[i].a) - vnode(x, cap_elems[i].b);
-    caps[i].current = 0.0;
-  }
-
-  result.append(0.0, x, n_nodes_);
-  result.set_final_state(x);
-
-  double t = 0.0;
-  double dt = options.dt_max / 16.0;
-  std::vector<double> x_prev2 = x;
-  double dt_prev = dt;
-  bool have_prev = false;
-
-  transients_counter().add(1);
-  std::uint64_t accepted = 0, rejected = 0, retries = 0, be_fallbacks = 0;
-  const auto flush_steps = [&] {
-    transient_steps_counter().add(accepted);
-    if (rejected > 0) transient_rejected_counter().add(rejected);
-    if (retries > 0) transient_retries_counter().add(retries);
-    if (be_fallbacks > 0) transient_be_fallback_counter().add(be_fallbacks);
-  };
-
-  while (t < options.t_stop - 1e-18) {
-    double dt_eff = std::min(dt, options.t_stop - t);
-    for (const VoltageSource& src : circuit_.vsources()) {
-      const double bp = src.wave.next_breakpoint(t);
-      if (bp > t && bp - t < dt_eff) dt_eff = bp - t;
-    }
-
-    std::vector<double> x_pred = x;
-    if (have_prev) {
-      for (std::size_t i = 0; i < dim_; ++i)
-        x_pred[i] = x[i] + (x[i] - x_prev2[i]) * (dt_eff / dt_prev);
-    }
-
-    SolveSetup setup;
-    setup.transient = true;
-    setup.t = t + dt_eff;
-    setup.h = dt_eff;
-    std::vector<double> x_new;
-    NrOutcome out;
-    bool ok = false;
-    bool used_be = false;
-    for (int attempt = 0; attempt < 3 && !ok; ++attempt) {
-      if (attempt > 0) ++retries;
-      TranOptions ladder = options;
-      if (attempt >= 1) ladder.max_nr_iterations *= 2;
-      setup.backward_euler = attempt == 2;
-      if (attempt == 2) ++be_fallbacks;
-      x_new = x_pred;
-      out = solve_nonlinear(x_new, setup, caps, ladder);
-      ok = out.converged;
-    }
-    used_be = ok && setup.backward_euler;
-    if (!ok) {
-      ++rejected;
-      dt = dt_eff / 4.0;  // the clipped step shrinks the controller state
-      if (dt < options.dt_min) {
-        flush_steps();
-        solve_error_counter().add(1);
-        last_diag_ =
-            diagnose(out, setup, "transient:retry>be>dt_underflow");
-        throw SolveError("transient: timestep underflow", last_diag_);
-      }
-      continue;
-    }
-    last_diag_ = diagnose(out, setup,
-                          used_be ? "transient:retry>be" : "transient");
-
-    if (have_prev) {
-      double err = 0.0;
-      for (std::size_t i = 0; i < n_nodes_; ++i) {
-        const double slope = (x[i] - x_prev2[i]) / dt_prev;
-        const double pred = x[i] + slope * dt_eff;
-        err = std::max(err, std::abs(x_new[i] - pred));
-      }
-      if (!used_be && err > options.lte_tol * 50.0 &&
-          dt_eff > options.dt_min * 16.0) {
-        ++rejected;
-        dt = dt_eff / 2.0;
-        continue;
-      }
-      if (used_be) {
-        dt = dt_eff;
-      } else if (err < options.lte_tol * 5.0) {
-        dt = std::min(dt_eff * 1.5, options.dt_max);
-      } else {
-        dt = dt_eff;  // acceptance keeps the clipped step as well
-      }
-    }
-
-    for (std::size_t i = 0; i < cap_elems.size(); ++i) {
-      if (cap_elems[i].farads <= 0.0) continue;
-      const double v_new =
-          vnode(x_new, cap_elems[i].a) - vnode(x_new, cap_elems[i].b);
-      if (used_be) {
-        const double geq = cap_elems[i].farads / dt_eff;
-        caps[i].current = geq * (v_new - caps[i].voltage);
-      } else {
-        const double geq = 2.0 * cap_elems[i].farads / dt_eff;
-        caps[i].current = geq * (v_new - caps[i].voltage) - caps[i].current;
-      }
-      caps[i].voltage = v_new;
-    }
-    x_prev2 = x;
-    dt_prev = dt_eff;
-    have_prev = true;
-    x = x_new;
-    t += dt_eff;
-    ++accepted;
-    result.append(t, x, n_nodes_);
-    result.set_final_state(x);
-  }
-  flush_steps();
-  return result;
-}
-
 TranResult Engine::transient(const TranOptions& options) {
-  if (reference_step_control_) return transient_reference(options);
   OBS_SPAN("spice.transient");
   std::vector<std::string> node_names(n_nodes_);
   for (std::size_t i = 0; i < n_nodes_; ++i)

@@ -231,10 +231,9 @@ class Engine {
 
   // Reference oracle: stamp the full MNA system from scratch on every NR
   // iteration with per-solve allocated workspaces (the pre-SolveContext
-  // implementation, kept verbatim). The golden suite asserts the
-  // incremental path is bit-identical to it, and perf_microbench uses it
-  // as the recorded baseline for the NR-throughput gate. Step selection is
-  // unchanged by this flag, so traces are directly comparable.
+  // implementation, kept verbatim) on the dense core. The golden suite
+  // asserts the incremental path is bit-identical to it. Step selection
+  // is unchanged by this flag, so traces are directly comparable.
   void set_reference_stamping(bool on) { reference_stamping_ = on; }
 
   // Linear-solver selection. kAuto switches from dense LU to the sparse
@@ -246,26 +245,11 @@ class Engine {
   void set_solver(LinearSolver solver) { solver_ = solver; }
   // The path a solve on this engine will actually take.
   LinearSolver effective_solver() const {
-    if (reference_solver_ || reference_stamping_) return LinearSolver::kDense;
+    if (reference_stamping_) return LinearSolver::kDense;
     if (solver_ == LinearSolver::kAuto)
       return dim_ >= kSparseAutoThreshold ? LinearSolver::kSparse
                                           : LinearSolver::kDense;
     return solver_;
-  }
-
-  // Dense oracle: forces the dense LU path (kept verbatim) regardless of
-  // set_solver, so any sparse-path result can be cross-checked against
-  // the exact arithmetic the golden suite pins.
-  void set_reference_solver(bool on) { reference_solver_ = on; }
-
-  // Replays the seed step controller verbatim — including the
-  // breakpoint-clipping feedback bug and the per-step bookkeeping copies —
-  // so perf_microbench can benchmark the full pre-PR engine (combine with
-  // set_reference_stamping(true)) on breakpoint-dense workloads. Not an
-  // oracle for trace comparison: the buggy controller picks different
-  // steps by design.
-  void set_reference_step_control(bool on) {
-    reference_step_control_ = on;
   }
 
   const SolveContext& context() const { return *ctx_; }
@@ -359,11 +343,6 @@ class Engine {
                                       const std::vector<CapState>& caps,
                                       const TranOptions& options) const;
 
-  // The seed transient loop, kept verbatim for the reference step-control
-  // mode (clipping feeds the controller, per-step workspace allocations,
-  // per-step final-state copies).
-  TranResult transient_reference(const TranOptions& options);
-
   // Renders an NrOutcome into diagnostics (node names resolved).
   SolveDiagnostics diagnose(const NrOutcome& out, const SolveSetup& setup,
                             const std::string& fallback_path) const;
@@ -377,9 +356,7 @@ class Engine {
   SolveContext* ctx_;  // owned_ctx_ or a caller-shared context
   std::uint64_t engine_id_;  // sparse symbolic-state owner tag
   LinearSolver solver_ = LinearSolver::kAuto;
-  bool reference_solver_ = false;
   bool reference_stamping_ = false;
-  bool reference_step_control_ = false;
   SolveDiagnostics last_diag_;
 };
 

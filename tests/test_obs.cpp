@@ -372,7 +372,8 @@ TEST(ObsReport, BenchReportMatchesSchema) {
     report.set_threads(3);
     report.results()["answer"] = 42;
     report.results()["nested"]["pi"] = 3.14;
-    report.results()["list"].push_back(1).push_back(2);
+    report.results()["list"].push_back(1);
+    report.results()["list"].push_back(2);
     const std::string path = report.write();
     EXPECT_EQ(path, (dir / "BENCH_unit_test.json").string());
   }
@@ -383,9 +384,42 @@ TEST(ObsReport, BenchReportMatchesSchema) {
   for (const char* field :
        {"\"schema\"", "cryosoc-bench-v1", "\"bench\"", "unit_test",
         "\"wall_seconds\"", "\"threads\"", "\"hardware_concurrency\"",
-        "\"git\"", "\"results\"", "\"answer\"", "\"metrics\""})
+        "\"git\"", "\"results\"", "\"answer\"", "\"gates\"",
+        "\"metrics\""})
     EXPECT_NE(text.find(field), std::string::npos) << field;
+  const obs::Json doc = obs::Json::parse(text);
+  EXPECT_EQ(doc.at("results", "doc").at("list", "results").dump_line(),
+            "[1,2]");
 
+  fs::remove_all(dir, ec);
+}
+
+TEST(ObsReport, GatesRecordEveryCheckAndSetTheExitCode) {
+  const fs::path dir = fs::temp_directory_path() / "cryosoc_test_gates";
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  EnvGuard guard("CRYOSOC_BENCH_DIR", dir.string().c_str());
+  {
+    auto report = obs::BenchReport("gates");
+    EXPECT_TRUE(report.gate("fast_enough", 2.5, ">=", 2.0));
+    EXPECT_EQ(report.exit_code(), 0);
+    report.skip_gate("speedup_4t", 1.2, ">=", 2.0, "hardware_concurrency 1");
+    EXPECT_EQ(report.exit_code(), 0);
+    EXPECT_FALSE(report.gate("nan_is_never_ok", std::nan(""), "<=", 1.0));
+    EXPECT_FALSE(report.gate("too_many", 5, "<", 5));
+    EXPECT_EQ(report.exit_code(), 1);
+    EXPECT_THROW(report.gate("bad_op", 1, "!=", 2), std::invalid_argument);
+    report.write();
+  }
+  const obs::Json doc = obs::Json::parse(read_file(dir / "BENCH_gates.json"));
+  EXPECT_EQ(
+      doc.at("gates", "doc").dump_line(),
+      R"([{"name":"fast_enough","value":2.5,"op":">=","bound":2,"pass":true},)"
+      R"({"name":"speedup_4t","value":1.2,"op":">=","bound":2,)"
+      R"("skipped":"hardware_concurrency 1"},)"
+      R"({"name":"nan_is_never_ok","value":null,"op":"<=","bound":1,)"
+      R"("pass":false},)"
+      R"({"name":"too_many","value":5,"op":"<","bound":5,"pass":false}])");
   fs::remove_all(dir, ec);
 }
 

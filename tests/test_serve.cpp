@@ -150,6 +150,10 @@ TEST(ServeWire, ParseRejectsMalformedRequests) {
     return head + R"("measured_power",)" + corner + R"(,"activity":{)" +
            fields + "}}";
   };
+  const auto vdd = [&](const std::string& number) {
+    return head + R"("timing","corner":{"vdd":)" + number +
+           R"(,"temperature_k":10}})";
+  };
   const std::string hostile[] = {
       sram("1e999", "8"),
       sram("1.5", "8"),
@@ -166,9 +170,32 @@ TEST(ServeWire, ParseRejectsMalformedRequests) {
       measured(R"("cycles":-1,"events":0,"glitches":0)"),
       measured(R"("cycles":18446744073709551616,"events":0,"glitches":0)"),
       measured(R"("cycles":1,"events":0,"glitches":0,"net_toggles":[1.5])"),
+      // Containers of the wrong kind.
+      head + R"("sweep","sweep":{"corners":5}})",
+      measured(R"("cycles":1,"events":0,"glitches":0,"net_toggles":"5")"),
+      measured(R"("cycles":1,"events":0,"glitches":0,)"
+               R"("sram_reads_per_cycle":[0.5])"),
   };
   for (const std::string& text : hostile)
     EXPECT_EQ(stage_of(text), "request-parse") << text;
+  // Number tokens outside the RFC 8259 grammar, then ones inside it.
+  for (const char* number : {".7", "0300", "064", "1.", "-.5", "1.e3", "-"})
+    EXPECT_EQ(stage_of(vdd(number)), "request-parse") << number;
+  for (const char* number : {"0", "-0", "0.5", "1e-05", "1E+2"})
+    EXPECT_EQ(stage_of(vdd(number)), "no-throw") << number;
+  // critical_path only travels in responses, so its reader's stage is
+  // response-parse.
+  try {
+    parse_response(
+        R"({"schema":"cryosoc-resp-v1","kind":"timing","ok":true,"result":)"
+        R"({"timing":{"critical_delay_s":1e-9,"fmax_hz":1e9,)"
+        R"("endpoint_count":1,"critical_path":{}}}})");
+    ADD_FAILURE() << "critical_path given an object was accepted";
+  } catch (const FlowError& e) {
+    EXPECT_EQ(e.stage(), "response-parse");
+    EXPECT_NE(e.detail().find("timing.critical_path"), std::string::npos)
+        << e.detail();
+  }
   // The limits themselves are accepted.
   EXPECT_EQ(stage_of(sram("1", "2147483647")), "no-throw");
   EXPECT_EQ(stage_of(sweep(R"("threads":-1)")), "no-throw");
@@ -421,11 +448,14 @@ TEST(ServeWire, JsonParserHandlesEscapesAndRejectsGarbage) {
   ASSERT_TRUE(v.is_object());
   const obs::Json* arr = v.find("a\n");
   ASSERT_NE(arr, nullptr);
-  ASSERT_EQ(arr->items().size(), 3u);
-  EXPECT_DOUBLE_EQ(arr->items()[0].as_number("n"), 1.0);
-  EXPECT_DOUBLE_EQ(arr->items()[1].as_number("n"), -2500.0);
-  EXPECT_EQ(arr->items()[2].as_string("s"), "A");
+  const auto& items = arr->items("a");
+  ASSERT_EQ(items.size(), 3u);
+  EXPECT_DOUBLE_EQ(items[0].as_number("n"), 1.0);
+  EXPECT_DOUBLE_EQ(items[1].as_number("n"), -2500.0);
+  EXPECT_EQ(items[2].as_string("s"), "A");
   EXPECT_TRUE(v.at("b", "doc").is_null());
+  EXPECT_THROW(v.at("b", "doc").items("b"), obs::JsonError);
+  EXPECT_THROW(arr->members("a"), obs::JsonError);
 
   EXPECT_THROW(obs::Json::parse("{\"a\":1} trailing"), obs::JsonError);
   EXPECT_THROW(obs::Json::parse("{\"a\":}"), obs::JsonError);

@@ -254,7 +254,7 @@ TEST(Tran, BreakpointClippingDoesNotCollapseTimestep) {
   // emits a pair of corners 10 fs apart every 20 ps — the breakpoint
   // pattern vector-driven decks produce for held pins. Step counts with
   // and without it must now be within noise of each other.
-  const auto steps = [](bool dense_breakpoints, bool seed_controller) {
+  const auto steps = [](bool dense_breakpoints) {
     Circuit c;
     c.add_vsource("vin", "in", "0",
                   Waveform::pulse(0.0, 1.0, 20e-12, 50e-12, 50e-12,
@@ -266,19 +266,14 @@ TEST(Tran, BreakpointClippingDoesNotCollapseTimestep) {
                     Waveform::pulse(0.7, 0.7, 1e-12, 10e-15, 10e-15,
                                     10e-12, 20e-12));
     Engine engine(c);
-    engine.set_reference_step_control(seed_controller);
     TranOptions opt;
     opt.t_stop = 600e-12;
     return engine.transient(opt).sample_count() - 1;
   };
-  const std::size_t base = steps(false, false);
-  const std::size_t dense = steps(true, false);
+  const std::size_t base = steps(false);
+  const std::size_t dense = steps(true);
   EXPECT_LE(dense, base * 11 / 10)
       << "dense breakpoints inflated the step count";
-  // The frozen seed controller documents the bug being guarded against:
-  // the same stimulus used to cost several times the steps.
-  const std::size_t seed_dense = steps(true, true);
-  EXPECT_GE(seed_dense, base * 2);
 }
 
 TEST(Tran, FinalStateMatchesLastSample) {
