@@ -3,36 +3,49 @@
 #include <stdexcept>
 
 #include "device/finfet.hpp"
+#include "obs/trace.hpp"
 
 namespace cryo::cells {
 
 NetlistFlattener::NetlistFlattener(const device::ModelCard& nmos,
                                    const device::ModelCard& pmos,
                                    double temperature)
-    : nmos_(nmos), pmos_(pmos), temperature_(temperature) {
-  // Tabulated currents for the four device variants (polarity x flavor),
-  // built at NFIN = 1 and shared across every instance — the
-  // characterizer's cache layout.
-  for (int f = 0; f < 2; ++f) {
-    for (int p = 0; p < 2; ++p) {
-      device::ModelCard card = p == 0 ? nmos_ : pmos_;
-      card.NFIN = 1;
-      if (f == 1) card.PHIG += kSlvtWorkFunctionDelta;
-      caches_[f * 2 + p] = std::make_shared<device::IdsCache>(
-          device::FinFet(card, temperature_));
-    }
-  }
+    : nmos_(nmos), pmos_(pmos), temperature_(temperature) {}
+
+device::ModelCard NetlistFlattener::card(device::Polarity polarity,
+                                         VtFlavor flavor, int fins) const {
+  device::ModelCard card =
+      polarity == device::Polarity::kNmos ? nmos_ : pmos_;
+  if (fins > 0) card.NFIN = fins;
+  if (flavor == VtFlavor::kSlvt) card.PHIG += kSlvtWorkFunctionDelta;
+  return card;
+}
+
+const std::shared_ptr<const device::IdsCache>& NetlistFlattener::table(
+    device::Polarity polarity, VtFlavor flavor, int threads) const {
+  const bool nmos = polarity == device::Polarity::kNmos;
+  const bool slvt = flavor == VtFlavor::kSlvt;
+  Table& t = tables_[(slvt ? 2 : 0) + (nmos ? 0 : 1)];
+  std::call_once(t.once, [&] {
+    OBS_SPAN("device.tables", std::string(nmos ? "nmos_" : "pmos_") +
+                                  (slvt ? "slvt" : "lvt"));
+    t.cache = std::make_shared<device::IdsCache>(
+        device::FinFet(card(polarity, flavor, 1), temperature_), threads);
+  });
+  return t.cache;
+}
+
+void NetlistFlattener::build_tables(std::span<const CellDef> cells,
+                                    int threads) const {
+  for (const CellDef& cell : cells)
+    for (const Transistor& t : cell.transistors)
+      table(t.polarity, cell.flavor, threads);
 }
 
 device::FinFet NetlistFlattener::make_fet(device::Polarity polarity,
                                           int fins, VtFlavor flavor) const {
-  device::ModelCard card =
-      polarity == device::Polarity::kNmos ? nmos_ : pmos_;
-  if (fins > 0) card.NFIN = fins;  // fins <= 0 keeps the card's own width
-  const int f = flavor == VtFlavor::kSlvt ? 1 : 0;
-  if (f == 1) card.PHIG += kSlvtWorkFunctionDelta;
-  device::FinFet fet(card, temperature_);
-  fet.set_cache(caches_[f * 2 + (polarity == device::Polarity::kNmos ? 0 : 1)]);
+  device::FinFet fet(card(polarity, flavor, fins), temperature_);
+  fet.set_cache(table(polarity, flavor, 0));
   return fet;
 }
 

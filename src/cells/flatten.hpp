@@ -5,7 +5,8 @@
 // instances flattened into one spice::Circuit. This module instantiates
 // CellDefs (and raw 6T bitcells, which the logic catalog does not carry)
 // under hierarchical "instance.net" names, sharing tabulated Ids caches
-// across all devices of a variant exactly like the characterizer does.
+// across all devices of a variant exactly like the characterizer does
+// (the characterizer builds its cells through this class).
 //
 // These netlists are what push the MNA system from cell scale (tens of
 // unknowns, dense LU) to block scale (hundreds-plus, sparse LU) — see the
@@ -14,6 +15,8 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,17 +45,35 @@ class NetlistFlattener {
                    const std::map<std::string, std::string>& pin_nets) const;
 
   // A device with the shared Ids cache for (polarity, flavor), NFIN set
-  // to `fins` — the characterizer's construction, verbatim.
+  // to `fins` — the characterizer's construction, verbatim. The first
+  // request for a variant builds its table (see build_tables).
   device::FinFet make_fet(device::Polarity polarity, int fins,
                           VtFlavor flavor) const;
+
+  // Builds, on `threads` (see exec::thread_count), the table of every
+  // (polarity, flavor) variant the transistors of `cells` use and that
+  // is not built yet. Optional: make_fet builds a missing table itself,
+  // but at the default thread count and, inside an exec task, serially.
+  void build_tables(std::span<const CellDef> cells, int threads) const;
 
   double temperature() const { return temperature_; }
 
  private:
+  // Tabulated currents of one (polarity, flavor) variant, built at
+  // NFIN = 1 on first request and shared by every instance.
+  struct Table {
+    std::once_flag once;
+    std::shared_ptr<const device::IdsCache> cache;
+  };
+  const std::shared_ptr<const device::IdsCache>& table(
+      device::Polarity polarity, VtFlavor flavor, int threads) const;
+  // The modelcard of a variant at `fins` fins (<= 0 keeps the card's own).
+  device::ModelCard card(device::Polarity polarity, VtFlavor flavor,
+                         int fins) const;
+
   device::ModelCard nmos_, pmos_;
   double temperature_;
-  // Tabulated currents per (flavor, polarity), shared by every instance.
-  std::shared_ptr<const device::IdsCache> caches_[4];
+  mutable Table tables_[4];  // indexed [flavor * 2 + polarity]
 };
 
 // A chained path: `length` instances of `cell` ("u0", "u1", ...), stage

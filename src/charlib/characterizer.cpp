@@ -609,6 +609,7 @@ void Characterizer::prep_cell(const cells::CellDef& cell, CellChar& out,
 }
 
 CellChar Characterizer::characterize(const cells::CellDef& cell) const {
+  devices_.build_tables({&cell, 1}, options_.threads);
   OBS_SPAN("charlib.cell", cell.name);
   static obs::Histogram& cell_seconds =
       obs::registry().histogram("charlib.cell_seconds");
@@ -674,6 +675,10 @@ Library Characterizer::characterize_all(
     if (lease.reused()) pool_reuse.add(1);
     return lease;
   };
+
+  // The device tables of the variants these cells use, each filled
+  // row-parallel here rather than inline inside a wave-one task.
+  devices_.build_tables(cell_defs, options_.threads);
 
   // Wave one: per-cell prep (pin caps + leakage states). Prep is its own
   // wave because every combinational arc's energy correction reads its

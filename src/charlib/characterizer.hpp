@@ -160,8 +160,10 @@ class Characterizer {
   device::ModelCard nmos_;
   device::ModelCard pmos_;
   CharOptions options_;
-  // Builds every cell device on the four tabulated Ids caches (polarity x
-  // flavor), made once at construction and shared by all instances.
+  // Builds every cell device on the tabulated Ids cache of its (polarity,
+  // flavor) variant. A variant's table is built the first time a cell
+  // uses it: characterize and characterize_all request their cells'
+  // variants up front, on options_.threads.
   cells::NetlistFlattener devices_;
 };
 

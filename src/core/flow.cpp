@@ -66,7 +66,8 @@ FlowConfig validate_config(FlowConfig config) {
 
 CryoSocFlow::CryoSocFlow(FlowConfig config)
     : config_(validate_config(std::move(config))),
-      corners_(config_.corner_cache_capacity, "sweep.corner_cache") {
+      corners_(config_.corner_cache_capacity, "sweep.corner_cache"),
+      srams_(config_.corner_cache_capacity, "flow.sram_cache") {
   if (config_.lib_dir.empty()) config_.lib_dir = default_lib_dir();
 }
 
@@ -221,9 +222,8 @@ std::shared_ptr<CornerState> CryoSocFlow::build_corner_state(
       // Cache write failure is non-fatal (read-only checkout).
     }
   }
-  sram::SramModel sram(*nmos_, *pmos_, corner.temperature, corner.vdd);
   return std::make_shared<CornerState>(corner, std::move(lib),
-                                       std::move(sram));
+                                       *sram_for(corner));
 }
 
 std::shared_ptr<CornerState> CryoSocFlow::build_interpolated_state(
@@ -240,9 +240,8 @@ std::shared_ptr<CornerState> CryoSocFlow::build_interpolated_state(
   } catch (const FlowError& e) {
     throw FlowError::at_corner(e, corner, e.stage());
   }
-  sram::SramModel sram(*nmos_, *pmos_, corner.temperature, corner.vdd);
   return std::make_shared<CornerState>(corner, std::move(lib),
-                                       std::move(sram));
+                                       *sram_for(corner));
 }
 
 std::shared_ptr<CornerState> CryoSocFlow::corner_state_mutable(
@@ -263,9 +262,21 @@ std::shared_ptr<const charlib::Library> CryoSocFlow::library(
   return {state, &state->library};
 }
 
+std::shared_ptr<const sram::SramModel> CryoSocFlow::sram_for(
+    const Corner& corner) {
+  return srams_.get_or_build(corner, [&] {
+    OBS_SPAN("sram.model", corner.label());
+    static obs::Counter& built = obs::registry().counter("sram.models_built");
+    auto model = std::make_shared<const sram::SramModel>(
+        *nmos_, *pmos_, corner.temperature, corner.vdd);
+    built.add(1);
+    return model;
+  });
+}
+
 sram::SramModel CryoSocFlow::sram_model(const Corner& corner) {
   ensure_devices();
-  return sram::SramModel(*nmos_, *pmos_, corner.temperature, corner.vdd);
+  return *sram_for(corner);
 }
 
 const sta::StaEngine& CryoSocFlow::engine_for(CornerState& state) {

@@ -10,10 +10,11 @@
 // the SRAM macro model, and the STA engine — lives in a bounded,
 // thread-safe LRU cache, so a multi-corner sweep (cryo::sweep) can fan
 // corners out over the exec scheduler while each corner characterizes at
-// most once. Characterized libraries are cached as Liberty files
-// (lib/*.lib) through the fingerprinted artifact store, so the expensive
-// SPICE characterization runs once ever per corner; benches and examples
-// load the artifacts afterwards.
+// most once. SRAM models have an LRU cache of their own, so an SRAM
+// query never waits for a library. Characterized libraries are cached as
+// Liberty files (lib/*.lib) through the fingerprinted artifact store, so
+// the expensive SPICE characterization runs once ever per corner; benches
+// and examples load the artifacts afterwards.
 //
 // The typed request/response front door over this class is cryo::serve
 // (serve/request.hpp, serve/service.hpp).
@@ -71,10 +72,10 @@ struct FlowConfig {
   // interpolation is a read-side layer only.
   std::vector<double> interp_anchor_temps;
   // Bound on the per-corner state cache (library + SRAM model + STA
-  // engine per resident corner). Sweeps over grids larger than this
-  // evict least-recently-used corners; evicted corners reload from the
-  // artifact store on the next touch. Must be >= 1 (validated at
-  // construction).
+  // engine per resident corner) and, separately, on the SRAM model cache.
+  // Sweeps over grids larger than this evict least-recently-used corners;
+  // evicted corners reload from the artifact store on the next touch.
+  // Must be >= 1 (validated at construction).
   std::size_t corner_cache_capacity = 8;
   // Worker threads for characterizing an uncached corner: > 0 explicit,
   // 0 = defer to CRYOSOC_THREADS / hardware concurrency (see
@@ -138,6 +139,10 @@ class CryoSocFlow {
   // Full per-corner state (library + SRAM model + cached STA engine).
   std::shared_ptr<const CornerState> corner_state(const Corner& corner);
 
+  // The corner's SRAM macro model: built once per residency in the SRAM
+  // model cache (obs: flow.sram_cache.*, sram.models_built), which
+  // CornerState::sram is copied from as well. Never characterizes, and
+  // never waits for the corner's library.
   sram::SramModel sram_model(const Corner& corner);
   sta::TimingReport timing(const Corner& corner);
   power::PowerReport workload_power(const Corner& corner,
@@ -170,6 +175,9 @@ class CryoSocFlow {
   // cache skips mid-build slots on eviction) and synthesize the corner's
   // library instead of characterizing it.
   std::shared_ptr<CornerState> build_interpolated_state(const Corner& corner);
+  // The SRAM model cache's entry for the corner (the one place SRAM
+  // models are built).
+  std::shared_ptr<const sram::SramModel> sram_for(const Corner& corner);
   // Non-const state access for the lazy engine.
   std::shared_ptr<CornerState> corner_state_mutable(const Corner& corner);
   // The corner's cached STA engine, built on first use.
@@ -184,6 +192,7 @@ class CryoSocFlow {
   std::once_flag soc_once_;
   std::optional<netlist::Netlist> soc_;
   CornerCache<CornerState> corners_;
+  CornerCache<const sram::SramModel> srams_;
 };
 
 }  // namespace cryo::core

@@ -3,6 +3,8 @@
 #include <cmath>
 
 #include "device/finfet.hpp"
+#include "exec/exec.hpp"
+#include "obs/metrics.hpp"
 
 namespace cryo::device {
 namespace {
@@ -15,22 +17,29 @@ constexpr double kEps = 1e-30;
 
 }  // namespace
 
-IdsCache::IdsCache(const FinFet& reference) {
+IdsCache::IdsCache(const FinFet& reference, int threads) {
+  static obs::Counter& builds =
+      obs::registry().counter("device.table_builds");
+  builds.add(1);
   n_vgs_ = static_cast<std::size_t>((vgs_hi_ - vgs_lo_) / step_) + 2;
   n_vds_ = static_cast<std::size_t>(vds_hi_ / step_) + 2;
   logval_.resize(n_vgs_ * n_vds_);
-  for (std::size_t i = 0; i < n_vgs_; ++i) {
-    const double vgs = vgs_lo_ + step_ * static_cast<double>(i);
-    for (std::size_t j = 0; j < n_vds_; ++j) {
-      // Sample the vds = 0 column slightly off zero where ids/f(vds) has a
-      // well-defined value.
-      const double vds =
-          j == 0 ? 0.25e-3 : step_ * static_cast<double>(j);
-      const double ids = reference.ids_per_fin_raw(vgs, vds);
-      logval_[i * n_vds_ + j] =
-          static_cast<float>(std::log(ids / f_vds(vds) + kEps));
-    }
-  }
+  // One task per vgs row: each writes only its own slice of logval_.
+  exec::parallel_for(
+      n_vgs_,
+      [&](std::size_t i) {
+        const double vgs = vgs_lo_ + step_ * static_cast<double>(i);
+        for (std::size_t j = 0; j < n_vds_; ++j) {
+          // Sample the vds = 0 column slightly off zero where ids/f(vds)
+          // has a well-defined value.
+          const double vds =
+              j == 0 ? 0.25e-3 : step_ * static_cast<double>(j);
+          const double ids = reference.ids_per_fin_raw(vgs, vds);
+          logval_[i * n_vds_ + j] =
+              static_cast<float>(std::log(ids / f_vds(vds) + kEps));
+        }
+      },
+      threads);
 }
 
 double IdsCache::ids_per_fin(double vgs, double vds) const {

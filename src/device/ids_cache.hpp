@@ -28,7 +28,11 @@ class IdsCache {
  public:
   // Builds the table by sampling `reference` (a single-fin FinFet at its
   // temperature). Grid: vgs in [-0.35, 1.05], vds in [0, 1.05], 2.5 mV.
-  explicit IdsCache(const FinFet& reference);
+  // The vgs rows fill in parallel over cryo::exec on `threads` (see
+  // exec::thread_count); every entry is an independent sample, so the
+  // table is bit-identical at any thread count. Counted in the obs
+  // counter `device.table_builds`.
+  explicit IdsCache(const FinFet& reference, int threads = 0);
 
   // Per-fin current for the normalized problem; callers must pass
   // vds >= 0. Falls back to NaN outside the grid (FinFet then uses the

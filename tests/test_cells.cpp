@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "cells/celldef.hpp"
+#include "cells/flatten.hpp"
 #include "device/finfet.hpp"
+#include "device/modelcard.hpp"
+#include "obs/metrics.hpp"
 #include "spice/engine.hpp"
 
 namespace cryo::cells {
@@ -154,6 +157,30 @@ TEST_P(CellTruth, DcMatchesTruthTable) {
 INSTANTIATE_TEST_SUITE_P(AllBases, CellTruth,
                          ::testing::ValuesIn(base_names()),
                          [](const auto& info) { return info.param; });
+
+// --- Device tables of the flattener ----------------------------------------
+
+TEST(Flattener, BuildsEachDeviceTableOnFirstUse) {
+  obs::Counter& builds = obs::registry().counter("device.table_builds");
+  const NetlistFlattener flattener(device::golden_nmos(),
+                                   device::golden_pmos(), 300.0);
+  const auto b0 = builds.value();
+  const CellDef inv = make_cell("INV", 1, VtFlavor::kLvt);
+  flattener.build_tables({&inv, 1}, 2);
+  EXPECT_EQ(builds.value() - b0, 2u);  // NMOS and PMOS LVT
+  flattener.build_tables({&inv, 1}, 2);
+  (void)flattener.make_fet(device::Polarity::kNmos, 2, VtFlavor::kLvt);
+  EXPECT_EQ(builds.value() - b0, 2u);
+
+  // The SRAM column's bitcells are SLVT: its first build tabulates both
+  // SLVT variants on demand, a second build nothing.
+  SramColumnSpec spec;
+  spec.rows = 2;
+  (void)make_sram_column(flattener, spec);
+  EXPECT_EQ(builds.value() - b0, 4u);
+  (void)make_sram_column(flattener, spec);
+  EXPECT_EQ(builds.value() - b0, 4u);
+}
 
 }  // namespace
 }  // namespace cryo::cells

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "charlib/characterizer.hpp"
 #include "core/error.hpp"
 #include "device/modelcard.hpp"
@@ -304,6 +306,30 @@ TEST(Characterizer, SettleRetryRecoversAndIsCounted) {
   ASSERT_EQ(cc.arcs.size(), 1u);
   EXPECT_GT(cc.arcs[0].delay.at(0, 0), 50e-12);
   EXPECT_LT(cc.arcs[0].delay.at(0, 0), 500e-12);
+}
+
+TEST(Characterizer, TabulatesOnlyTheDeviceVariantsItsCellsUse) {
+  obs::Counter& builds = obs::registry().counter("device.table_builds");
+  CharOptions opt;
+  opt.slews = {4e-12};
+  opt.loads = {1e-15};
+  opt.characterize_setup_hold = false;
+  opt.threads = 2;
+  const Characterizer ch(device::golden_nmos(), device::golden_pmos(), opt);
+  const auto b0 = builds.value();
+  const std::vector<cells::CellDef> lvt = {
+      cells::make_cell("INV", 1, cells::VtFlavor::kLvt),
+      cells::make_cell("NAND2", 1, cells::VtFlavor::kLvt)};
+  (void)ch.characterize_all(lvt, "lvt_only");
+  EXPECT_EQ(builds.value() - b0, 2u);
+  (void)ch.characterize_all(lvt, "lvt_again");
+  EXPECT_EQ(builds.value() - b0, 2u);
+  // An SLVT cell brings in the two SLVT tables, once.
+  const cells::CellDef slvt = cells::make_cell("INV", 1, cells::VtFlavor::kSlvt);
+  (void)ch.characterize(slvt);
+  EXPECT_EQ(builds.value() - b0, 4u);
+  (void)ch.characterize_all({&slvt, 1}, "slvt");
+  EXPECT_EQ(builds.value() - b0, 4u);
 }
 
 TEST(Characterizer, ParallelLibraryIsByteIdenticalToSerial) {

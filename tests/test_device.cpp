@@ -231,6 +231,26 @@ TEST(IdsCache, OutOfRangeFallsBackToAnalytic) {
   EXPECT_DOUBLE_EQ(a, b);
 }
 
+TEST(IdsCache, RowParallelBuildIsBitIdenticalToSerial) {
+  ModelCard card = golden_pmos();
+  card.NFIN = 1;
+  const FinFet reference(card, 10.0);
+  const IdsCache serial(reference, 1);
+  const IdsCache parallel(reference, 4);
+  // Grid nodes (2.5 mV pitch from vgs = -0.35) and points between them.
+  for (int i = 0; i < 560; i += 7) {
+    for (int j = 0; j < 420; j += 11) {
+      const double vgs = -0.35 + 2.5e-3 * i;
+      const double vds = 2.5e-3 * j;
+      EXPECT_EQ(serial.ids_per_fin(vgs, vds), parallel.ids_per_fin(vgs, vds))
+          << "node vgs=" << vgs << " vds=" << vds;
+      EXPECT_EQ(serial.ids_per_fin(vgs + 1.1e-3, vds + 0.7e-3),
+                parallel.ids_per_fin(vgs + 1.1e-3, vds + 0.7e-3))
+          << "between vgs=" << vgs << " vds=" << vds;
+    }
+  }
+}
+
 TEST(InitialGuess, IsDetunedFromGolden) {
   const auto guess = initial_guess(Polarity::kNmos);
   const auto golden = golden_nmos();

@@ -602,6 +602,34 @@ TEST(ServeService, RejectsZeroQueueCapacity) {
   }
 }
 
+// ---- Service: SRAM queries never characterize -----------------------------
+
+TEST(ServeService, SramAtNewCornerBuildsOneModelAndNoLibrary) {
+  const fs::path dir = fs::path(::testing::TempDir()) / "serve_sram_memo";
+  fs::remove_all(dir);
+  CryoSocFlow flow(tiny_config(dir.string()));
+  FlowService service(flow);
+  const FlowRequest request = sram_request(Corner{0.7, 123.0, ""}, {256, 32});
+
+  const std::uint64_t runs0 = counter("charlib.runs");
+  const std::uint64_t built0 = counter("sram.models_built");
+  const FlowResponse first = service.call(request);
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_EQ(counter("charlib.runs") - runs0, 0u);
+  EXPECT_EQ(counter("sram.models_built") - built0, 1u);
+  EXPECT_TRUE(service.call(request).ok);
+  EXPECT_EQ(counter("sram.models_built") - built0, 1u);
+
+  // Once the corner's library exists (its state reuses the same model),
+  // the sram answer is the same bytes.
+  ASSERT_TRUE(service.call(leakage_request(request.corner)).ok);
+  EXPECT_EQ(counter("charlib.runs") - runs0, 1u);
+  EXPECT_EQ(counter("sram.models_built") - built0, 1u);
+  EXPECT_EQ(response_payload_json(service.call(request)).dump(0),
+            response_payload_json(first).dump(0));
+  fs::remove_all(dir);
+}
+
 // ---- Service: byte-identity vs the direct flow ---------------------------
 
 TEST(ServeService, ResponsesMatchDirectFlowAtAnyWorkerCount) {
