@@ -22,14 +22,19 @@
 // coalesced); every kind's p50 <= p95 <= p99 <= max, each finite and
 // >= 0.
 //
+// Stores: phase A storms a store that is emptied at the start of every
+// run, so every run sees the same cold corner. Phase B serves from its
+// own store, which full mode seeds with copies of the committed 300 K /
+// 10 K artifacts; the bench never writes beside lib/.
+//
 // Quick mode (--quick or CRYOSOC_BENCH_QUICK=1): tiny INV+NAND2 catalog
-// in a scratch store and the SoC-free kinds (leakage / sram / sweep), for
-// CI smoke. Full mode uses the committed artifacts and adds timing +
-// power queries. Output: bench-out/BENCH_serve_load.json
-// (cryosoc-bench-v1).
+// and the SoC-free kinds (leakage / sram / sweep), for CI smoke. Full
+// mode uses the full catalog and adds timing + power queries. Output:
+// bench-out/BENCH_serve_load.json (cryosoc-bench-v1).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <future>
 #include <string>
 #include <thread>
@@ -48,10 +53,27 @@ std::uint64_t counter(const char* name) {
   return obs::registry().counter(name).value();
 }
 
-core::CryoSocFlow make_flow(bool quick) {
+namespace fs = std::filesystem;
+
+// A flow over the artifact store <report dir>/<store>. A cold store is
+// emptied first; a warm full-mode store is seeded with copies of the
+// committed 300 K / 10 K artifacts where they can be found. Whatever a
+// warm store lacks, the phase B pre-warm characterizes into it.
+core::CryoSocFlow make_flow(bool quick, const std::string& store, bool cold) {
   core::FlowConfig config;
   config.calibrate_devices = false;
-  if (quick) bench::use_quick_catalog(config, "serve-lib-quick");
+  if (quick) bench::use_quick_catalog(config, store);
+  else config.lib_dir = obs::BenchReport::output_dir() + "/" + store;
+  if (cold) fs::remove_all(config.lib_dir);
+  fs::create_directories(config.lib_dir);
+  if (!quick && !cold) {
+    const fs::path committed = core::default_lib_dir();
+    for (const char* file : {"cryo5_300k.lib", "cryo5_300k.lib.manifest",
+                             "cryo5_10k.lib", "cryo5_10k.lib.manifest"})
+      if (fs::exists(committed / file))
+        fs::copy_file(committed / file, fs::path(config.lib_dir) / file,
+                      fs::copy_options::overwrite_existing);
+  }
   return core::CryoSocFlow(config);
 }
 
@@ -93,7 +115,6 @@ int main(int argc, char** argv) {
   auto report = bench::make_report("serve_load");
   report.results()["quick"] = quick;
 
-  core::CryoSocFlow flow = make_flow(quick);
   serve::ServiceConfig service_config;
   service_config.workers = 4;
   service_config.queue_capacity = 4096;
@@ -101,14 +122,13 @@ int main(int argc, char** argv) {
   // ---- phase A: cold-corner storm ---------------------------------------
   obs::registry().reset();
   const std::size_t storm_n = 32;
-  // Quick mode characterizes the tiny catalog at an off-grid corner in a
-  // scratch store (always cold); full mode storms 77 K, characterizing
-  // the full catalog once ever (the artifact persists across runs, so
-  // only the first full run pays it — still exactly one charlib run
-  // in-process when cold, zero when the artifact exists).
-  const core::Corner storm_corner =
-      quick ? core::Corner{0.7, 150.0, ""} : flow.corner(77.0);
+  // Quick mode storms the tiny catalog at an off-grid 150 K, full mode
+  // the full catalog at 77 K; the storm store is cold on every run.
   {
+    core::CryoSocFlow flow = make_flow(
+        quick, quick ? "serve-storm-quick" : "serve-storm-full", true);
+    const core::Corner storm_corner =
+        quick ? core::Corner{0.7, 150.0, ""} : flow.corner(77.0);
     std::promise<void> all_submitted;
     std::shared_future<void> gate = all_submitted.get_future().share();
     serve::ServiceConfig storm_config = service_config;
@@ -156,6 +176,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- phase B: warm open-loop mix --------------------------------------
+  core::CryoSocFlow flow = make_flow(
+      quick, quick ? "serve-lib-quick" : "serve-lib-full", false);
   const std::vector<serve::FlowRequest> mix = make_mix(quick);
   {
     // Pre-warm every corner the mix touches (and the SoC in full mode) so

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -479,99 +478,60 @@ Characterizer::ArcOutcome Characterizer::characterize_arc(
   return out;
 }
 
-namespace {
-
-// One capture experiment for setup/hold bisection: D moves to `target` at
-// time t_d (absolute); returns true if Q ends at the target value.
-bool capture_ok(spice::SolveContext& ctx,
-                const std::function<spice::Circuit(
-                    const std::vector<std::pair<std::string,
-                                                spice::Waveform>>&)>& build,
-                double vdd, bool target, double t_d, double t_d_away,
-                double edge, double t_stop) {
-  std::vector<std::pair<std::string, spice::Waveform>> drives;
-  const double e1 = 10e-12, fall1 = 90e-12;
-  drives.emplace_back("CLK", spice::Waveform::pwl({{0.0, 0.0},
-                                                        {e1, 0.0},
-                                                        {e1 + 2e-12, vdd},
-                                                        {fall1, vdd},
-                                                        {fall1 + 2e-12, 0.0},
-                                                        {edge, 0.0},
-                                                        {edge + 4e-12, vdd}}));
-  const double v_t = target ? vdd : 0.0;
-  const double v_n = target ? 0.0 : vdd;
-  std::vector<std::pair<double, double>> dw = {{0.0, v_n},
-                                               {t_d, v_n},
-                                               {t_d + 2e-12, v_t}};
-  if (t_d_away > t_d) {
-    dw.push_back({t_d_away, v_t});
-    dw.push_back({t_d_away + 2e-12, v_n});
-  }
-  drives.emplace_back("D", spice::Waveform::pwl(std::move(dw)));
-
-  spice::Circuit circuit = build(drives);
-  spice::Engine engine(circuit, &ctx);
-  spice::TranOptions tran;
-  tran.t_stop = t_stop;
-  tran.dt_max = 6e-12;
-  const auto result = engine.transient(tran);
-  const double v_q = result.node("Q").value.back();
-  return target ? v_q > 0.9 * vdd : v_q < 0.1 * vdd;
-}
-
-}  // namespace
-
-double Characterizer::find_setup(const cells::CellDef& cell,
-                                 spice::SolveContext& ctx) const {
-  // Smallest D-before-clock offset that still captures, worst of both
-  // data polarities.
-  const auto build = [&](const std::vector<
-                         std::pair<std::string, spice::Waveform>>& drives) {
-    return cell_circuit(cell, drives, "Q", 1e-15);
-  };
+double Characterizer::capture_window(const cells::CellDef& cell,
+                                     spice::SolveContext& ctx,
+                                     bool hold) const {
+  const double vdd = options_.vdd;
   const double edge = 220e-12;
   const double t_stop = edge + 250e-12;
-  double worst = 0.0;
-  for (bool target : {false, true}) {
-    double pass = 80e-12;  // D this early definitely captures
-    double fail = 0.0;     // D at the edge definitely misses
-    if (!capture_ok(ctx, build, options_.vdd,
-                    target, edge - pass, -1.0, edge, t_stop))
-      return 80e-12;  // pathological; report the full window
-    for (int i = 0; i < 10; ++i) {
-      const double mid = 0.5 * (pass + fail);
-      if (capture_ok(ctx, build, options_.vdd,
-                     target, edge - mid, -1.0, edge, t_stop))
-        pass = mid;
-      else
-        fail = mid;
+  // One capture experiment at `offset`: true if Q ends at `target`. Setup
+  // moves D to the target `offset` before the clock edge. Hold moves it
+  // there well before the edge and away again `offset` after it.
+  const auto captures = [&](bool target, double offset) {
+    const double t_d = hold ? edge - 100e-12 : edge - offset;
+    const double t_d_away = hold ? edge + offset : -1.0;
+    std::vector<std::pair<std::string, spice::Waveform>> drives;
+    const double e1 = 10e-12, fall1 = 90e-12;
+    drives.emplace_back("CLK", spice::Waveform::pwl({{0.0, 0.0},
+                                                     {e1, 0.0},
+                                                     {e1 + 2e-12, vdd},
+                                                     {fall1, vdd},
+                                                     {fall1 + 2e-12, 0.0},
+                                                     {edge, 0.0},
+                                                     {edge + 4e-12, vdd}}));
+    const double v_t = target ? vdd : 0.0;
+    const double v_n = target ? 0.0 : vdd;
+    std::vector<std::pair<double, double>> dw = {{0.0, v_n},
+                                                 {t_d, v_n},
+                                                 {t_d + 2e-12, v_t}};
+    if (t_d_away > t_d) {
+      dw.push_back({t_d_away, v_t});
+      dw.push_back({t_d_away + 2e-12, v_n});
     }
-    worst = std::max(worst, pass);
-  }
-  return worst;
-}
+    drives.emplace_back("D", spice::Waveform::pwl(std::move(dw)));
 
-double Characterizer::find_hold(const cells::CellDef& cell,
-                                spice::SolveContext& ctx) const {
-  // Smallest D-stable-after-clock time: D moves to target well before the
-  // edge and moves away `offset` after it; capture must still succeed.
-  const auto build = [&](const std::vector<
-                         std::pair<std::string, spice::Waveform>>& drives) {
-    return cell_circuit(cell, drives, "Q", 1e-15);
+    const spice::Circuit circuit = cell_circuit(cell, drives, "Q", 1e-15);
+    spice::Engine engine(circuit, &ctx);
+    spice::TranOptions tran;
+    tran.t_stop = t_stop;
+    tran.dt_max = 6e-12;
+    const double v_q = engine.transient(tran).node("Q").value.back();
+    return target ? v_q > 0.9 * vdd : v_q < 0.1 * vdd;
   };
-  const double edge = 220e-12;
-  const double t_stop = edge + 250e-12;
-  double worst = -20e-12;
+
+  // Bracket: an offset that definitely captures and one that definitely
+  // misses (setup: D 80 ps early vs at the edge).
+  const double pass0 = hold ? 60e-12 : 80e-12;
+  const double fail0 = hold ? -20e-12 : 0.0;
+  double worst = fail0;
   for (bool target : {false, true}) {
-    double pass = 60e-12;
-    double fail = -20e-12;
-    if (!capture_ok(ctx, build, options_.vdd,
-                    target, edge - 100e-12, edge + pass, edge, t_stop))
-      return 60e-12;
+    double pass = pass0;
+    double fail = fail0;
+    if (!captures(target, pass))
+      return pass0;  // pathological; report the full window
     for (int i = 0; i < 10; ++i) {
       const double mid = 0.5 * (pass + fail);
-      if (capture_ok(ctx, build, options_.vdd,
-                     target, edge - 100e-12, edge + mid, edge, t_stop))
+      if (captures(target, mid))
         pass = mid;
       else
         fail = mid;
@@ -633,8 +593,8 @@ CellChar Characterizer::characterize(const cells::CellDef& cell) const {
   }
 
   if (cell.sequential && options_.characterize_setup_hold && !cell.is_latch) {
-    out.setup_time = find_setup(cell, ctx);
-    out.hold_time = find_hold(cell, ctx);
+    out.setup_time = capture_window(cell, ctx, /*hold=*/false);
+    out.hold_time = capture_window(cell, ctx, /*hold=*/true);
   }
   cells_counter.add(1);
   cell_seconds.observe(std::chrono::duration<double>(
@@ -721,8 +681,8 @@ Library Characterizer::characterize_all(
         const Unit& unit = units[u];
         const cells::CellDef& cell = cell_defs[unit.cell];
         if (unit.setup_hold) {
-          results[u].setup = find_setup(cell, *ctx);
-          results[u].hold = find_hold(cell, *ctx);
+          results[u].setup = capture_window(cell, *ctx, /*hold=*/false);
+          results[u].hold = capture_window(cell, *ctx, /*hold=*/true);
         } else {
           results[u].arc = characterize_arc(
               cell, cell.arcs[unit.arc], lib.cells[unit.cell].leakage, *ctx);

@@ -152,10 +152,11 @@ class Characterizer {
 
   std::vector<LeakageState> measure_leakage(const cells::CellDef& cell,
                                             spice::SolveContext& ctx) const;
-  double find_setup(const cells::CellDef& cell,
-                    spice::SolveContext& ctx) const;
-  double find_hold(const cells::CellDef& cell,
-                   spice::SolveContext& ctx) const;
+  // Setup (hold=false) or hold time of a sequential cell: a 10-step
+  // bisection of the smallest offset of D before (setup) or after (hold)
+  // the clock edge that still captures, worst of both data polarities.
+  double capture_window(const cells::CellDef& cell, spice::SolveContext& ctx,
+                        bool hold) const;
 
   device::ModelCard nmos_;
   device::ModelCard pmos_;

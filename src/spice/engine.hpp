@@ -3,16 +3,22 @@
 // transient analysis with a per-step retry ladder (NR budget boost ->
 // backward-Euler step -> timestep reduction).
 //
-// Cells characterized here are small (tens of nodes), so the linear solves
-// use dense LU with partial pivoting; a full SoC is never simulated at the
-// transistor level (that is what the gate-level STA/power tools are for).
+// One stamping walk and one NR loop feed two factorizations. The engine
+// lists every stamp occurrence of its circuit once, in a fixed order
+// (resistors, capacitors, source rows, MOSFETs, gmin diagonal), and maps
+// each occurrence to a value slot of the active core: a row-major offset
+// into a dense matrix for cell-scale systems (dense LU with partial
+// pivoting), or a CSC value index for block-scale ones (the sparse LU of
+// sparse.hpp). Only the factor-and-solve step differs between them. A
+// full SoC is never simulated at the transistor level (that is what the
+// gate-level STA/power tools are for).
 //
 // Hot-path structure: every NR solve stamps the linear skeleton of the MNA
 // system (resistors, capacitor companions, source rows) exactly once into a
 // SolveContext, then each NR iteration memcpy's the skeleton back and
-// restamps only the MOSFET conductances through a precomputed stamp-slot
-// index list. All solver workspaces live in the SolveContext, so a warm
-// transient performs zero heap allocations in its step loop.
+// restamps only the MOSFET conductances through the slot map. All solver
+// workspaces live in the SolveContext, so a warm transient performs zero
+// heap allocations in its step loop.
 #pragma once
 
 #include <algorithm>
@@ -283,48 +289,28 @@ class Engine {
     bool near_singular = false;  // LU flagged an ill-conditioned pivot
   };
 
-  // Precomputed flat stamp slots of one MOSFET: the six A-matrix entries
-  // of the Norton linearization, the two z entries, and the x indices of
-  // the gate/drain/source voltages. kDropped marks ground rows/columns.
-  static constexpr std::size_t kDropped = static_cast<std::size_t>(-1);
-  struct MosStamp {
-    std::size_t a_dg, a_dd, a_ds, a_sg, a_sd, a_ss;
-    std::size_t z_d, z_s;
-    std::size_t x_g, x_d, x_s;  // kDropped means the terminal is ground
-  };
-
   // Stamps the linear skeleton — resistors, capacitor companions, source
-  // rows — into zeroed a/z. Everything here is constant across the NR
+  // rows — into a/z through `slot` (the active core's value slot of every
+  // occurrence in coords_). Everything here is constant across the NR
   // iterations of one solve. gmin is NOT part of the skeleton: it must be
   // added after the MOSFET stamps to preserve the historical per-entry
   // accumulation order (diagonal entries sum resistor + cap + MOSFET +
-  // gmin contributions in exactly that order, so results stay
+  // gmin contributions in exactly that order, so dense results stay
   // bit-identical to the full-rebuild reference).
-  void build_linear(const SolveSetup& setup,
+  void stamp_linear(const SolveSetup& setup,
                     const std::vector<CapState>& caps,
-                    std::vector<double>& a, std::vector<double>& z) const;
+                    const std::int32_t* slot, std::vector<double>& a,
+                    std::vector<double>& z) const;
 
   // Restamps the MOSFET conductances linearized around x_prev through the
-  // precomputed slot list.
+  // same slot map.
   void stamp_mosfets(const std::vector<double>& x_prev,
-                     std::vector<double>& a, std::vector<double>& z) const;
+                     const std::int32_t* slot, std::vector<double>& a,
+                     std::vector<double>& z) const;
 
-  // Sparse-core analogues: the same stamps routed through the CSC
-  // value-slot map instead of flat dense offsets. ensure_sparse()
-  // (re)builds the context's pattern + ordering when this engine does not
-  // own the context's symbolic state.
+  // (Re)analyzes the context's sparse pattern and ordering from coords_
+  // when this engine does not own the context's symbolic state.
   void ensure_sparse() const;
-  void build_linear_sparse(const SolveSetup& setup,
-                           const std::vector<CapState>& caps,
-                           std::vector<double>& vals,
-                           std::vector<double>& z) const;
-  void stamp_mosfets_sparse(const std::vector<double>& x_prev,
-                            std::vector<double>& vals,
-                            std::vector<double>& z) const;
-  NrOutcome solve_nonlinear_sparse(std::vector<double>& x,
-                                   const SolveSetup& setup,
-                                   const std::vector<CapState>& caps,
-                                   const TranOptions& options) const;
 
   // Reference full rebuild (the historical Engine::build), used by the
   // reference stamping mode only.
@@ -347,11 +333,21 @@ class Engine {
   SolveDiagnostics diagnose(const NrOutcome& out, const SolveSetup& setup,
                             const std::string& fallback_path) const;
 
+  // Dense slots are row*dim+col in the int32 slot type, which addresses
+  // up to this many unknowns (a 17 GB matrix, far past
+  // kSparseAutoThreshold); larger circuits solve on the sparse core only.
+  static constexpr std::size_t kMaxDenseDim = 46340;
+
   const Circuit& circuit_;
   std::size_t n_nodes_;
   std::size_t n_sources_;
   std::size_t dim_;
-  std::vector<MosStamp> mos_stamps_;
+  // Every stamp occurrence in the fixed order both cores stamp in, and
+  // each occurrence's dense value slot (kNoSlot on ground). mos_base_ and
+  // gmin_base_ index the first MOSFET and the first gmin occurrence.
+  std::vector<sparse::Coord> coords_;
+  std::vector<std::int32_t> dense_slot_;
+  std::size_t mos_base_ = 0, gmin_base_ = 0;
   SolveContext owned_ctx_;
   SolveContext* ctx_;  // owned_ctx_ or a caller-shared context
   std::uint64_t engine_id_;  // sparse symbolic-state owner tag

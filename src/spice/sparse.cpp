@@ -105,8 +105,8 @@ void SparseLu::analyze(std::size_t n, const std::vector<Coord>& coords,
   grow(row_idx_, uniq.size(), allocations);
   std::copy(uniq.begin(), uniq.end(), row_idx_.begin());
 
-  // Occurrence -> value-slot map (the sparse analogue of MosStamp's flat
-  // dense offsets): binary search inside the entry's column.
+  // Occurrence -> value-slot map (the sparse analogue of the dense core's
+  // row-major offsets): binary search inside the entry's column.
   grow(slot_of_, coords.size(), allocations);
   for (std::size_t i = 0; i < coords.size(); ++i) {
     const Coord& c = coords[i];
